@@ -16,7 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .su2 import Direction, HalfInt, rotate_to, wigner_small_d
+from .su2 import Direction, HalfInt, _d_column, _projection_values
+
+# angles per Wigner-kernel call: kernel temporaries as large as a whole block
+# stay resident in the heap after use and raise peak memory
+_KERNEL_POINTS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,17 +130,20 @@ def _block_amplitudes(a: MultiRepState, thetas: np.ndarray, phis: np.ndarray) ->
     out = np.empty((a.dim, thetas.size), dtype=complex)
     row = 0
     for coeff, s in zip(a.coeffs, a.spins):
-        for i in range(s.twice + 1):
-            k = HalfInt(s.twice - 2 * i)
-            out[row] = coeff * np.exp(-1j * k.value * phis) * wigner_small_d(s, k, a.sn, thetas)
-            row += 1
+        block = out[row:row + s.twice + 1]
+        np.multiply.outer(-1j * _projection_values(s), phis, out=block)
+        np.exp(block, out=block)
+        for lo in range(0, thetas.size, _KERNEL_POINTS):
+            part = slice(lo, lo + _KERNEL_POINTS)
+            block[:, part] *= _d_column(s, a.sn, thetas[part])
+        block *= coeff
+        row += s.twice + 1
     return out
 
 
 def code_state(a: MultiRepState, n: Direction) -> np.ndarray:
     """Encoded state for direction n as a block vector over the irrep tower."""
-    parts = [coeff * rotate_to(s, a.sn, n).amps for coeff, s in zip(a.coeffs, a.spins)]
-    return np.concatenate(parts)
+    return _block_amplitudes(a, np.array([n.theta]), np.array([n.phi]))[:, 0]
 
 
 def alpha_state(f: AlphaFamily, n: Direction) -> np.ndarray:

@@ -114,14 +114,7 @@ def legendre_eval(l: int, x):
     """Evaluate the Legendre polynomial P_l at x (scalar or ndarray)."""
     if l < 0:
         raise ValueError("degree must be nonnegative")
-    zero = x * 0.0
-    p_prev = zero + 1.0
-    if l == 0:
-        return p_prev
-    p = x + zero
-    for k in range(2, l + 1):
-        p, p_prev = ((2 * k - 1) * x * p - (k - 1) * p_prev) / k, p
-    return p
+    return _eval_with_derivative("legendre", l, x)[0]
 
 
 def jacobi01_eval(l: int, x):
@@ -132,49 +125,28 @@ def jacobi01_eval(l: int, x):
     """
     if l < 0:
         raise ValueError("degree must be nonnegative")
-    zero = x * 0.0
-    p_prev = zero + 1.0
-    if l == 0:
-        return p_prev
-    p = (3.0 * x - 1.0) / 2.0 + zero
-    for n in range(2, l + 1):
-        den = (n + 1) * (2 * n - 1)
-        p, p_prev = (((2 * n + 1) * (2 * n - 1) * x - 1.0) * p
-                     - (n - 1) * (2 * n + 1) * p_prev) / den, p
-    return p
+    return _eval_with_derivative("jacobi01", l, x)[0]
 
 
-def _eval_with_derivative(kind: str, l: int, x: float) -> tuple[float, float]:
-    """Value and first derivative of the degree-l polynomial of the family."""
+def _three_term(kind: str, k: int) -> tuple[float, float, float]:
+    """Coefficients (a, b, c) of p_k = (a x + b) p_{k-1} - c p_{k-2} for the family."""
     if kind == "legendre":
-        if l == 0:
-            return 1.0, 0.0
-        p_prev, d_prev = 1.0, 0.0
-        p, d = x, 1.0
-        for k in range(2, l + 1):
-            a = (2 * k - 1) / k
-            b = (k - 1) / k
-            p_new = a * x * p - b * p_prev
-            d_new = a * (p + x * d) - b * d_prev
-            p_prev, p = p, p_new
-            d_prev, d = d, d_new
-        return p, d
-    if kind == "jacobi01":
-        if l == 0:
-            return 1.0, 0.0
-        p_prev, d_prev = 1.0, 0.0
-        p, d = (3.0 * x - 1.0) / 2.0, 1.5
-        for n in range(2, l + 1):
-            den = (n + 1) * (2 * n - 1)
-            a = (2 * n + 1) * (2 * n - 1) / den
-            b = -1.0 / den
-            c = (n - 1) * (2 * n + 1) / den
-            p_new = (a * x + b) * p - c * p_prev
-            d_new = a * p + (a * x + b) * d - c * d_prev
-            p_prev, p = p, p_new
-            d_prev, d = d, d_new
-        return p, d
-    raise ValueError(f"unknown polynomial family: {kind!r}")
+        return (2 * k - 1) / k, 0.0, (k - 1) / k
+    den = (k + 1) * (2 * k - 1)
+    return (2 * k + 1) * (2 * k - 1) / den, -1.0 / den, (k - 1) * (2 * k + 1) / den
+
+
+def _eval_with_derivative(kind: str, l: int, x):
+    """Value and first derivative of the degree-l polynomial of the family, elementwise in x."""
+    zero = x * 0.0
+    p_prev, p = zero, zero + 1.0
+    d_prev, d = zero, zero
+    for k in range(1, l + 1):
+        a, b, c = _three_term(kind, k)
+        slope = a * x + b
+        p, p_prev, d, d_prev = (slope * p - c * p_prev, p,
+                                a * p + slope * d - c * d_prev, d)
+    return p, d
 
 
 def largest_zero(kind: str, l: int) -> float:
@@ -333,16 +305,10 @@ def tridiag_max_eigenpair(m: Tridiag) -> tuple[float, np.ndarray]:
 
 
 def hermitian_eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix.
-
-    Intended for the small operators that show up here (identity checks,
-    density matrices), hence the hard size cap.
-    """
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")
-    if h.shape[0] > 64:
-        raise ValueError("matrix larger than 64x64; this helper is for small operators")
     dev = float(np.max(np.abs(h - h.conj().T)))
     if dev > 1e-10:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")

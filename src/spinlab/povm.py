@@ -18,6 +18,9 @@ from .su2 import Direction, HalfInt, X_AXIS, Y_AXIS, Z_AXIS, rotate_to
 
 # chunk size for vectorized sampling; fixed so a seed gives one stream
 _CHUNK = 1 << 17
+# elements per sampling sub-block (outcomes or dimension times shots): a chunk
+# of the N = 12 grid POVM (196 outcomes) still fits in one sub-block
+_BUDGET = 196 * _CHUNK
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,6 +154,20 @@ def povm_fidelity_exact(code: MultiRepState, p: FinitePovm,
     return float(np.sum(weights[:, None] * prob * score * w[None, :]))
 
 
+def _draw_outcomes(code: MultiRepState, bras: np.ndarray, weights: np.ndarray,
+                   th: np.ndarray, ph: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcome index fired by each shot: the first whose cumulative probability reaches u."""
+    amp = _block_amplitudes(code, th, ph)
+    probs = weights[:, None] * np.abs(bras @ amp) ** 2
+    worst = float(np.max(np.abs(probs.sum(axis=0) - 1.0)))
+    if worst > 1e-8:
+        raise RuntimeError(
+            f"outcome probabilities sum to 1 +/- {worst:.3e}; "
+            "the POVM does not resolve the identity on this code space")
+    cum = np.cumsum(probs, axis=0)
+    return np.minimum((cum < u[None, :]).sum(axis=0), weights.size - 1)
+
+
 def simulate(code: MultiRepState, p: FinitePovm, shots: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the mean fidelity.
 
@@ -165,7 +182,8 @@ def simulate(code: MultiRepState, p: FinitePovm, shots: int, seed: int) -> tuple
         Number of independent uniformly random directions, >= 1.
     seed : int
         PCG64 stream seed. A given seed reproduces the estimate bit for
-        bit; the fixed internal chunk size keeps the draw order stable.
+        bit; the fixed internal chunk size keeps the draw order stable,
+        and chunks are scored in sub-blocks of bounded size.
 
     Returns
     -------
@@ -184,6 +202,8 @@ def simulate(code: MultiRepState, p: FinitePovm, shots: int, seed: int) -> tuple
         raise ValueError("POVM and code dimensions differ")
     rng = np.random.default_rng(seed)
     states, weights, guesses = _element_arrays(p)
+    bras = states.conj()
+    width = max(1, _BUDGET // max(weights.size, code.dim))
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -193,15 +213,10 @@ def simulate(code: MultiRepState, p: FinitePovm, shots: int, seed: int) -> tuple
         ph = rng.uniform(0.0, 2.0 * math.pi, k)
         u = rng.random(k)
         th = np.arccos(cos_th)
-        amp = _block_amplitudes(code, th, ph)
-        probs = weights[:, None] * np.abs(states.conj() @ amp) ** 2
-        worst = float(np.max(np.abs(probs.sum(axis=0) - 1.0)))
-        if worst > 1e-8:
-            raise RuntimeError(
-                f"outcome probabilities sum to 1 +/- {worst:.3e}; "
-                "the POVM does not resolve the identity on this code space")
-        cum = np.cumsum(probs, axis=0)
-        idx = np.minimum((cum < u[None, :]).sum(axis=0), len(p.elements) - 1)
+        idx = np.empty(k, dtype=np.intp)
+        for lo in range(0, k, width):
+            part = slice(lo, lo + width)
+            idx[part] = _draw_outcomes(code, bras, weights, th[part], ph[part], u[part])
         score = (1.0 + np.sum(grid_unit_vectors(th, ph) * guesses[idx], axis=1)) / 2.0
         total += float(score.sum())
         total_sq += float((score * score).sum())

@@ -125,6 +125,14 @@ def test_simulate_grid_row(capsys):
     assert math.isfinite(float(row["z_score"]))
 
 
+def test_simulate_large_grid_row(capsys):
+    # 3844 outcomes over a 961-dimensional tower: needs a stable Wigner kernel
+    code, out = run_cli(["simulate", "--n", "60", "--shots", "200", "--seed", "1"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert abs(float(rows[0]["z_score"])) < 5.0
+
+
 def test_simulate_octahedron_row(capsys):
     code, out = run_cli(["simulate", "--n", "2", "--povm", "octahedron",
                          "--shots", "2000", "--seed", "3"], capsys)

@@ -97,7 +97,7 @@ def test_max_fidelity_rotation_coefficients_nonnegative():
         assert np.linalg.norm(code.coeffs) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("nspins", range(1, 13))
+@pytest.mark.parametrize("nspins", [*range(1, 13), 90])
 def test_equivalence_triangle(nspins):
     f_eig, code = max_fidelity_rotation(nspins)
     assert max_fidelity_polynomial(nspins) == pytest.approx(f_eig, abs=1e-12)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spinlab import povm
 from spinlab.codes import coherent_code, minimal_sn
 from spinlab.fidelity import fidelity_quadrature, max_fidelity_rotation
 from spinlab.povm import (FinitePovm, PovmElement, check_identity,
@@ -33,7 +34,7 @@ def test_finite_povm_validation():
         FinitePovm(0, (el,))
 
 
-@pytest.mark.parametrize("nspins", range(1, 7))
+@pytest.mark.parametrize("nspins", [*range(1, 7), 20])
 def test_quadrature_povm_resolves_identity(nspins):
     p = quadrature_povm(minimal_sn(nspins), nspins)
     assert check_identity(p) < 1e-10
@@ -81,12 +82,12 @@ def test_check_identity_detects_missing_weight():
     assert check_identity(halved) == pytest.approx(0.5, abs=1e-12)
 
 
-@pytest.mark.parametrize("nspins", range(1, 5))
+@pytest.mark.parametrize("nspins", [*range(1, 5), 20])
 def test_povm_route_matches_quadrature_route(nspins):
     f, code = max_fidelity_rotation(nspins)
     p = quadrature_povm(minimal_sn(nspins), nspins)
     assert povm_fidelity_exact(code, p) == pytest.approx(fidelity_quadrature(code), abs=1e-12)
-    assert povm_fidelity_exact(code, p) == pytest.approx(f, abs=1e-9)
+    assert povm_fidelity_exact(code, p) == pytest.approx(f, abs=1e-10)
 
 
 def test_povm_fidelity_exact_contracts():
@@ -114,6 +115,16 @@ def test_simulate_crosses_chunk_boundary_deterministically():
     a = simulate(code, p, shots, 3)
     assert a == simulate(code, p, shots, 3)
     assert abs(a[0] - 2.0 / 3.0) < 5.0 * a[1]
+
+
+def test_simulate_sub_blocks_match_whole_chunk(monkeypatch):
+    _, code = max_fidelity_rotation(3)
+    p = quadrature_povm(minimal_sn(3), 3)  # 25 outcomes, dimension 6
+    whole = simulate(code, p, 5000, 9)
+    monkeypatch.setattr(povm, "_BUDGET", 25 * 777)  # 777 shots per sub-block
+    split = simulate(code, p, 5000, 9)
+    assert split == pytest.approx(whole, abs=1e-12)
+    assert simulate(code, p, 5000, 9) == split
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

@@ -130,6 +130,18 @@ def test_wigner_small_d_large_spin_stable():
     assert np.max(np.abs(got - np.cos(THETAS / 2.0) ** 60)) < 1e-13
 
 
+@pytest.mark.parametrize("twice_s", [200, 201, 400, 401])
+def test_wigner_columns_unitary_at_large_spin(twice_s):
+    # columns m' = 0 or 1/2 (the ones the optimal codes use) and their neighbours
+    s, mp = HalfInt(twice_s), HalfInt(twice_s % 2)
+    for theta in THETAS:
+        n = Direction(theta, 0.0)
+        col = rotate_to(s, mp, n).amps
+        nxt = rotate_to(s, HalfInt(mp.twice + 2), n).amps
+        assert abs(np.vdot(col, col) - 1.0) < 1e-13
+        assert abs(np.vdot(nxt, col)) < 1e-13
+
+
 def test_wigner_small_d_scalar_and_shape():
     out = wigner_small_d(HalfInt(2), HalfInt(0), HalfInt(0), 0.5)
     assert isinstance(out, float)
