@@ -23,6 +23,11 @@ from .su2 import (Direction, HalfInt, X_AXIS, overlap_sq_32, peres_generators,
                   spin_operators, wigner_small_d)
 
 
+# largest --n for the grid POVM: (N+2)^2 outcomes over a (N/2+1)^2-dimensional
+# tower, a 4356 x 1089 complex state array (about 76 MB) at N = 64
+GRID_MAX_N = 64
+
+
 def _format_value(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
@@ -96,11 +101,9 @@ def cmd_infogain(mode: str, fmt: str, out: str | None) -> int:
             rows.append((n, closed, quad, abs(closed - quad)))
     else:
         headers = ["alpha_over_pi", "info_gain", "is_max"]
-        rows = []
-        for alpha in np.linspace(0.0, math.pi / 2.0, 64):
-            gain = infogain.info_gain_quadrature(alpha_code(AlphaFamily(float(alpha))))
-            rows.append((float(alpha) / math.pi, gain, 0))
-        best_alpha, best_gain = infogain.maximize_alpha()
+        alphas, gains = infogain.scan_alpha()
+        rows = [(float(alpha) / math.pi, gain, 0) for alpha, gain in zip(alphas, gains)]
+        best_alpha, best_gain = infogain.refine_alpha(alphas, gains)
         rows.append((best_alpha / math.pi, best_gain, 1))
     _emit(headers, rows, fmt, out)
     return 0
@@ -147,9 +150,9 @@ def _checks_fidelity_values() -> list[Check]:
     return out
 
 
-def _checks_routes(lo: int, hi: int) -> list[Check]:
+def _checks_routes(ns) -> list[Check]:
     out = []
-    for n in range(lo, hi + 1):
+    for n in ns:
         f_eig, code = fidelity.max_fidelity_rotation(n)
         f_poly = fidelity.max_fidelity_polynomial(n)
         f_quad = fidelity.fidelity_quadrature(code)
@@ -274,7 +277,7 @@ def run_verify(level: str) -> list[Check]:
     """Cross-module invariant suite; full adds the slow scans."""
     checks = []
     checks += _checks_fidelity_values()
-    checks += _checks_routes(1, 6)
+    checks += _checks_routes(range(1, 7))
     checks += _checks_optimal(2, 8)
     checks += _checks_parallel()
     checks += _checks_split_code()
@@ -283,7 +286,7 @@ def run_verify(level: str) -> list[Check]:
     checks += _checks_structure()
     checks += _checks_overlaps()
     if level == "full":
-        checks += _checks_routes(7, 12)
+        checks += _checks_routes([*range(7, 13), 100, 200])
         checks += _checks_optimal(9, 32)
         checks += _checks_identities(4, 6)
         checks += _checks_entropies()
@@ -321,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--out", default=None)
 
     s = sub.add_parser("simulate", help="Monte Carlo decoding run")
-    s.add_argument("--n", type=int, default=1)
+    s.add_argument("--n", type=int, default=1,
+                   help=f"number of spins; --povm grid takes N <= {GRID_MAX_N}, since the "
+                        "grid POVM's size grows as N^4")
     s.add_argument("--povm", choices=("grid", "octahedron"), default="grid")
     s.add_argument("--shots", type=int, default=100000)
     s.add_argument("--seed", type=int, default=0)
@@ -351,6 +356,8 @@ def main(argv=None) -> int:
             parser.error("--n must be >= 1")
         if args.shots < 1:
             parser.error("--shots must be >= 1")
+        if args.povm == "grid" and args.n > GRID_MAX_N:
+            parser.error(f"--povm grid takes --n up to {GRID_MAX_N}")
         if args.povm == "octahedron" and args.n != 2:
             parser.error("--povm octahedron decodes the two-qubit coherent code; use --n 2")
         return cmd_simulate(args.n, args.povm, args.shots, args.seed,

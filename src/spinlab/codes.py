@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .su2 import Direction, HalfInt, _d_column, _projection_values
+from .su2 import Direction, HalfInt, _d_column, _projection_values, wigner_small_d
 
 # angles per Wigner-kernel call: kernel temporaries as large as a whole block
 # stay resident in the heap after use and raise peak memory
@@ -138,6 +138,19 @@ def _block_amplitudes(a: MultiRepState, thetas: np.ndarray, phis: np.ndarray) ->
             block[:, part] *= _d_column(s, a.sn, thetas[part])
         block *= coeff
         row += s.twice + 1
+    return out
+
+
+def _axial_overlap(a: MultiRepState, b: MultiRepState, thetas: np.ndarray) -> np.ndarray:
+    """Overlap <B(z)|A(n)> at polar angles thetas and azimuth 0, shape (npoints,).
+
+    Along z the decoder B has only the |S, sn> components b_S, so the
+    overlap is sum_S conj(b_S) a_S d^S_{sn,sn}(theta): one Wigner-d row
+    per block. At azimuth phi it gains the common phase e^{-i sn phi} only.
+    """
+    out = np.zeros(thetas.size, dtype=complex)
+    for a_s, b_s, s in zip(a.coeffs, b.coeffs, a.spins):
+        out += (b_s.conjugate() * a_s) * wigner_small_d(s, a.sn, a.sn, thetas)
     return out
 
 

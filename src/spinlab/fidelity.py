@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import numerics
-from .codes import (MultiRepState, _block_amplitudes, code_state,
+from .codes import (MultiRepState, _axial_overlap, _block_amplitudes, code_state,
                     grid_unit_vectors, matched_decoder, minimal_sn, sphere_grid)
 from .su2 import Direction, Z_AXIS
 
@@ -94,6 +94,18 @@ def fidelity_quadrature(code: MultiRepState, decoder: MultiRepState | None = Non
     the code unless one is passed explicitly) evaluated at the fixed
     direction m. The integrand is band-limited, so the default grid is
     exact, not approximate.
+
+    With the decoder on +z (m.theta == 0, any phi) the integrand depends on
+    theta alone: the overlap is sum_S conj(b_S) a_S d^S_{sn,sn}(theta) up to
+    a phase, so the average is one Gauss-Legendre sum in x = cos(theta),
+
+        D * sum_j (w_j / 2) (1 + x_j)/2 |sum_S conj(b_S) a_S d^S_{sn,sn}(arccos x_j)|^2.
+
+    Each d^S_{sn,sn} times another is a polynomial in x of degree at most
+    S + S' <= N, so the integrand has degree N + 1 and theta_order >= N + 2
+    nodes integrate it exactly (phi_count is checked but not used). Any
+    other decoder direction keeps the product grid over the sphere, whose
+    agreement with the +z value is the covariance cross-check.
     """
     n = code.nspins
     min_theta, min_phi = n + 2, n + 2
@@ -104,6 +116,11 @@ def fidelity_quadrature(code: MultiRepState, decoder: MultiRepState | None = Non
     decoder = matched_decoder(code) if decoder is None else decoder
     if decoder.sn != code.sn or decoder.nspins != code.nspins:
         raise ValueError("decoder must live on the code's irrep tower")
+    if decoder_direction.theta == 0.0:
+        rule = numerics.gauss_legendre(theta_order)
+        overlap_sq = np.abs(_axial_overlap(code, decoder, np.arccos(rule.nodes))) ** 2
+        score = (1.0 + rule.nodes) / 2.0
+        return float(code.dim * np.sum(rule.weights / 2.0 * score * overlap_sq))
     w, th, ph = sphere_grid(theta_order, phi_count)
     amp = _block_amplitudes(code, th, ph)
     bvec = code_state(decoder, decoder_direction)

@@ -6,9 +6,8 @@ import math
 
 import numpy as np
 
-from .codes import (AlphaFamily, MultiRepState, _block_amplitudes, alpha_code,
-                    code_state, matched_decoder, sphere_grid)
-from .su2 import Z_AXIS
+from . import numerics
+from .codes import AlphaFamily, MultiRepState, _axial_overlap, alpha_code, matched_decoder
 
 _LOG2E = 1.0 / math.log(2.0)
 _MAX_THETA_ORDER = 8192
@@ -26,25 +25,27 @@ def info_gain_closed(nspins: int) -> float:
 
 
 def info_gain_quadrature(code: MultiRepState, decoder: MultiRepState | None = None,
-                         theta_order: int = 64, phi_count: int = 4,
-                         tol: float = 1e-8) -> float:
+                         theta_order: int = 64, tol: float = 1e-8) -> float:
     """Average gain int dn q log2(q) with q = D |<A(n)|B(z)>|^2.
 
+    The decoder lies on +z, so q depends on theta alone (the overlap is
+    sum_S conj(b_S) a_S d^S_{sn,sn}(theta) up to a phase) and the sphere
+    average is one Gauss-Legendre sum in x = cos(theta) with weights w_j/2.
     q integrates to 1 whenever the decoder resolves the identity (checked,
     since a failed check means the "gain" is meaningless). The integrand has
-    logarithmic kinks wherever the overlap vanishes, so the theta rule is
-    not exact; two rules 1.5x apart must agree within tol, and the order
+    logarithmic kinks wherever the overlap vanishes, so the rule is not
+    exact; two rules 1.5x apart must agree within tol, and the order
     doubles until they do.
     """
     decoder = matched_decoder(code) if decoder is None else decoder
     if decoder.sn != code.sn or decoder.nspins != code.nspins:
         raise ValueError("decoder must live on the code's irrep tower")
-    bvec = code_state(decoder, Z_AXIS)
     dim = code.dim
 
     def at_order(order: int) -> float:
-        w, th, ph = sphere_grid(order, phi_count)
-        q = dim * np.abs(bvec.conj() @ _block_amplitudes(code, th, ph)) ** 2
+        rule = numerics.gauss_legendre(order)
+        w = rule.weights / 2.0
+        q = dim * np.abs(_axial_overlap(code, decoder, np.arccos(rule.nodes))) ** 2
         mass = float(np.sum(w * q))
         if abs(mass - 1.0) > 1e-8:
             raise RuntimeError(
@@ -64,36 +65,51 @@ def info_gain_quadrature(code: MultiRepState, decoder: MultiRepState | None = No
     raise RuntimeError("information-gain quadrature did not stabilize")
 
 
-def maximize_alpha(tol: float = 1e-6, beta: float = 0.0) -> tuple[float, float]:
-    """Alpha maximizing the two-spin family's information gain.
+def _alpha_gain(alpha: float, beta: float) -> float:
+    return info_gain_quadrature(alpha_code(AlphaFamily(alpha, beta)))
 
-    A 64-point scan over [0, pi/2] brackets the peak, then golden-section
-    narrows the bracket to width tol. Returns (alpha_star, gain_star).
+
+def scan_alpha(beta: float = 0.0) -> tuple[np.ndarray, list[float]]:
+    """Information gain of the two-spin family at 64 alphas spanning [0, pi/2]."""
+    alphas = np.linspace(0.0, math.pi / 2.0, 64)
+    return alphas, [_alpha_gain(float(a), beta) for a in alphas]
+
+
+def refine_alpha(alphas: np.ndarray, gains: list[float], tol: float = 1e-6,
+                 beta: float = 0.0) -> tuple[float, float]:
+    """Golden-section search for the gain peak bracketed by a scan.
+
+    The scan's largest gain must be interior; its two neighbours bracket
+    the peak, which is narrowed to width tol. Returns (alpha_star, gain_star).
     """
     if not 0.0 < tol <= 1e-4:
         raise ValueError("tol must lie in (0, 1e-4]")
-
-    def gain(alpha: float) -> float:
-        return info_gain_quadrature(alpha_code(AlphaFamily(alpha, beta)))
-
-    xs = np.linspace(0.0, math.pi / 2.0, 64)
-    gains = [gain(x) for x in xs]
     peak = int(np.argmax(gains))
-    if peak == 0 or peak == xs.size - 1:
+    if peak == 0 or peak == len(alphas) - 1:
         raise RuntimeError("no interior maximum bracketed by the scan")
-    a, b = float(xs[peak - 1]), float(xs[peak + 1])
+    a, b = float(alphas[peak - 1]), float(alphas[peak + 1])
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    gc, gd = gain(c), gain(d)
+    gc, gd = _alpha_gain(c, beta), _alpha_gain(d, beta)
     while b - a > tol:
         if gc > gd:
             b, d, gd = d, c, gc
             c = b - invphi * (b - a)
-            gc = gain(c)
+            gc = _alpha_gain(c, beta)
         else:
             a, c, gc = c, d, gd
             d = a + invphi * (b - a)
-            gd = gain(d)
+            gd = _alpha_gain(d, beta)
     best = 0.5 * (a + b)
-    return best, gain(best)
+    return best, _alpha_gain(best, beta)
+
+
+def maximize_alpha(tol: float = 1e-6, beta: float = 0.0) -> tuple[float, float]:
+    """Alpha maximizing the two-spin family's information gain.
+
+    A 64-point scan over [0, pi/2] (scan_alpha) brackets the peak, then
+    golden-section (refine_alpha) narrows the bracket to width tol.
+    Returns (alpha_star, gain_star).
+    """
+    return refine_alpha(*scan_alpha(beta), tol=tol, beta=beta)

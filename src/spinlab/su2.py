@@ -158,13 +158,29 @@ def _projection_values(s: HalfInt) -> np.ndarray:
     return np.arange(s.twice, -s.twice - 1, -2) / 2.0
 
 
-@lru_cache(maxsize=128)
+# room for every spin of a 200-spin tower (2S = 0, 2, ..., 200) next to the
+# odd spins below it: `verify --level full` cycles through about 170, and a
+# smaller LRU cache evicts each entry before its next use
+@lru_cache(maxsize=256)
 def _sy_eigenbasis(twice: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvector columns of S_y for spin twice/2, frozen and shared."""
     lam, vecs = np.linalg.eigh(spin_operators(HalfInt(twice))[1])
     lam.setflags(write=False)
     vecs.setflags(write=False)
     return lam, vecs
+
+
+def _d_combination(lam: np.ndarray, w: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Re(w) cos(theta lam) + Im(w) sin(theta lam) over the S_y eigenvalues lam.
+
+    w holds eigenbasis weights on its last axis; the result keeps w's other
+    axes and appends one for the angles in the 1-d array thetas.
+    """
+    angles = np.multiply.outer(lam, thetas)
+    out = w.real @ np.cos(angles)
+    if w.imag.any():  # diagonal elements have real weights |V[m, :]|^2
+        out += w.imag @ np.sin(angles, out=angles)
+    return out
 
 
 def _d_column(s: HalfInt, mp: HalfInt, thetas: np.ndarray) -> np.ndarray:
@@ -175,11 +191,7 @@ def _d_column(s: HalfInt, mp: HalfInt, thetas: np.ndarray) -> np.ndarray:
     equals Re(W) cos(theta lam) + Im(W) sin(theta lam).
     """
     lam, vecs = _sy_eigenbasis(s.twice)
-    w = vecs * vecs[(s.twice - mp.twice) // 2].conj()
-    angles = np.multiply.outer(lam, thetas)
-    column = w.real @ np.cos(angles)
-    column += w.imag @ np.sin(angles, out=angles)
-    return column
+    return _d_combination(lam, vecs * vecs[(s.twice - mp.twice) // 2].conj(), thetas)
 
 
 def wigner_small_d(s, m, mp, theta):
@@ -199,11 +211,13 @@ def wigner_small_d(s, m, mp, theta):
 
     Notes
     -----
-    Reads row m of the whole column m', which comes from the S_y eigenbasis
-    (numpy.linalg.eigh, cached per spin): d^S(theta) = V exp(-i theta Lambda)
-    V^dagger, the Fourier method of Feng, Wang, Yang & Jin, PRE 92, 043307
-    (2015). No sum cancels, so columns stay unitary to rounding; the tests
-    hold them to 1e-13 up to 2S = 401.
+    Uses the S_y eigenbasis (numpy.linalg.eigh, cached per spin):
+    d^S(theta) = V exp(-i theta Lambda) V^dagger, the Fourier method of
+    Feng, Wang, Yang & Jin, PRE 92, 043307 (2015). Only row m is formed,
+    from w = V[m, :] conj(V[m', :]) as Re(w) cos(theta Lambda) +
+    Im(w) sin(theta Lambda), so each angle costs O(S). No sum cancels, so
+    the elements stay unitary to rounding; the tests hold columns to 1e-13
+    up to 2S = 401.
     """
     s = HalfInt.of(s)
     m = HalfInt.of(m)
@@ -211,7 +225,9 @@ def wigner_small_d(s, m, mp, theta):
     _check_projection(s, m)
     _check_projection(s, mp)
     theta_arr = np.asarray(theta, dtype=float)
-    row = _d_column(s, mp, theta_arr.ravel())[(s.twice - m.twice) // 2]
+    lam, vecs = _sy_eigenbasis(s.twice)
+    w = vecs[(s.twice - m.twice) // 2] * vecs[(s.twice - mp.twice) // 2].conj()
+    row = _d_combination(lam, w, theta_arr.ravel())
     if np.ndim(theta) == 0:
         return float(row[0])
     return row.reshape(theta_arr.shape)

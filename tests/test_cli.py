@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from spinlab import cli, fidelity, numerics
+from spinlab import cli, fidelity, infogain, numerics
 
 LOG2E = 1.0 / math.log(2.0)
 
@@ -198,6 +198,24 @@ def test_infogain_alpha_scan(capsys):
     assert float(peak["info_gain"]) >= scan_best - 1e-9
 
 
+def test_infogain_alpha_scan_scans_once(monkeypatch, capsys):
+    # the table's 64 scanned gains are the ones the maximizer refines from
+    calls = []
+    quadrature = infogain.info_gain_quadrature
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(infogain, "info_gain_quadrature", counted)
+    infogain.maximize_alpha()
+    maximizer_calls = len(calls)
+    calls.clear()
+    code, _ = run_cli(["infogain", "--mode", "alpha-scan"], capsys)
+    assert code == 0
+    assert len(calls) == maximizer_calls
+
+
 def test_asymptotic_output(capsys):
     code, out = run_cli(["asymptotic", "--max-n", "60"], capsys)
     assert code == 0
@@ -223,6 +241,7 @@ def test_asymptotic_output(capsys):
     ["asymptotic", "--max-n", "9"],
     ["bogus"],
     [],
+    ["simulate", "--n", "65"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as err:

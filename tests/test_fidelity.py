@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinlab import fidelity
 from spinlab.codes import AlphaFamily, MultiRepState, alpha_code, coherent_code, minimal_sn
 from spinlab.fidelity import (asymptotic_table, build_m, fidelity_optimal,
                               fidelity_parallel, fidelity_quadrature,
                               max_fidelity_polynomial, max_fidelity_rotation)
 from spinlab.numerics import bessel_j0_first_zero, jacobi01_eval, legendre_eval
-from spinlab.su2 import HalfInt, X_AXIS
+from spinlab.su2 import Direction, HalfInt, X_AXIS
 
 CLOSED_FORMS = {
     1: 2.0 / 3.0,
@@ -97,7 +98,7 @@ def test_max_fidelity_rotation_coefficients_nonnegative():
         assert np.linalg.norm(code.coeffs) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("nspins", [*range(1, 13), 90])
+@pytest.mark.parametrize("nspins", [*range(1, 13), 90, 200])
 def test_equivalence_triangle(nspins):
     f_eig, code = max_fidelity_rotation(nspins)
     assert max_fidelity_polynomial(nspins) == pytest.approx(f_eig, abs=1e-12)
@@ -164,11 +165,27 @@ def test_fidelity_quadrature_decoder_contracts():
         fidelity_quadrature(code, theta_order=2)
 
 
-def test_fidelity_quadrature_covariant_in_decoder_direction():
-    code = max_fidelity_rotation(3)[1]
+COVARIANCE_CODES = {
+    "optimal-n3": lambda: max_fidelity_rotation(3)[1],
+    "optimal-n8": lambda: max_fidelity_rotation(8)[1],
+    "optimal-n21": lambda: max_fidelity_rotation(21)[1],
+    "alpha-complex": lambda: alpha_code(AlphaFamily(0.6, 1.1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COVARIANCE_CODES))
+def test_fidelity_quadrature_covariant_in_decoder_direction(name, monkeypatch):
+    # the +z decoder takes the 1-d rule in cos(theta); the others the sphere grid
+    code = COVARIANCE_CODES[name]()
     fz = fidelity_quadrature(code)
-    fx = fidelity_quadrature(code, decoder_direction=X_AXIS)
-    assert fx == pytest.approx(fz, abs=1e-12)
+    for m in (X_AXIS, Direction(1.1, 2.3), Direction(math.pi, 0.4)):
+        assert fidelity_quadrature(code, decoder_direction=m) == pytest.approx(fz, abs=1e-12)
+
+    def no_grid(*args):
+        raise AssertionError("a +z decoder must not build the sphere grid")
+
+    monkeypatch.setattr(fidelity, "sphere_grid", no_grid)
+    assert fidelity_quadrature(code, decoder_direction=Direction(0.0, 1.3)) == fz
 
 
 def test_asymptotic_table_strictly_increasing():
