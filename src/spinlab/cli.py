@@ -128,10 +128,6 @@ def _residual(name: str, value: float, tol: float) -> Check:
     return Check(name, value <= tol, f"residual {value:.3e} (tolerance {tol:.1e})")
 
 
-def _claim(name: str, passed: bool, detail: str) -> Check:
-    return Check(name, passed, detail)
-
-
 def _checks_fidelity_values() -> list[Check]:
     closed = {
         1: 2.0 / 3.0,
@@ -185,9 +181,9 @@ def _checks_split_code() -> list[Check]:
             _residual("split_code_beta_independent", spread, 1e-12)]
 
 
-def _checks_identities(grid_lo: int, grid_hi: int) -> list[Check]:
+def _checks_identities(ns) -> list[Check]:
     out = []
-    for n in range(grid_lo, grid_hi + 1):
+    for n in ns:
         dev = povm.check_identity(povm.quadrature_povm(minimal_sn(n), n))
         out.append(_residual(f"identity_grid_n{n}", dev, 1e-10))
     return out
@@ -233,10 +229,10 @@ def _checks_overlaps() -> list[Check]:
     out = [
         _residual("overlap_top_closed_form", float(np.max(np.abs(top - top_wigner))), 1e-12),
         _residual("overlap_mid_closed_form", float(np.max(np.abs(mid - mid_wigner))), 1e-12),
-        _claim("overlap_top_monotone", bool(np.all(np.diff(top) > 0.0)),
-               "strictly increasing on a 1001-point grid"),
-        _claim("overlap_mid_nonmonotone", bool(np.any(np.diff(mid) < 0.0)),
-               "decreasing somewhere on a 1001-point grid"),
+        Check("overlap_top_monotone", bool(np.all(np.diff(top) > 0.0)),
+              "strictly increasing on a 1001-point grid"),
+        Check("overlap_mid_nonmonotone", bool(np.any(np.diff(mid) < 0.0)),
+              "decreasing somewhere on a 1001-point grid"),
         _residual("overlap_mid_zero_at_third", overlap_sq_32(1.0 / 3.0, HalfInt(1)), 1e-12),
     ]
     return out
@@ -269,7 +265,7 @@ def _checks_asymptotic() -> list[Check]:
     monotone = all(b > a for a, b in zip(fids, fids[1:]))
     xi_sq = bessel_j0_first_zero() ** 2
     rel = abs(rows[-1][2] / xi_sq - 1.0)
-    return [_claim("asymptotic_monotone", monotone, "fidelity strictly increasing to N=200"),
+    return [Check("asymptotic_monotone", monotone, "fidelity strictly increasing to N=200"),
             _residual("asymptotic_limit", rel, 0.03)]
 
 
@@ -282,13 +278,14 @@ def run_verify(level: str) -> list[Check]:
     checks += _checks_parallel()
     checks += _checks_split_code()
     checks += _checks_fixed_povms()
-    checks += _checks_identities(1, 3)
+    checks += _checks_identities(range(1, 4))
     checks += _checks_structure()
     checks += _checks_overlaps()
     if level == "full":
         checks += _checks_routes([*range(7, 13), 100, 200])
         checks += _checks_optimal(9, 32)
-        checks += _checks_identities(4, 6)
+        # N = 16 (dimension 81) only: larger grids would lengthen every full run
+        checks += _checks_identities([*range(4, 7), 16])
         checks += _checks_entropies()
         checks += _checks_infogain()
         checks += _checks_asymptotic()

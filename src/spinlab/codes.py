@@ -212,6 +212,28 @@ def sphere_grid(theta_order: int, phi_count: int) -> tuple[np.ndarray, np.ndarra
     return weights, np.repeat(thetas, phi_count), np.tile(phis, theta_order)
 
 
+def exact_grid(nspins: int, theta_order: int | None = None,
+               phi_count: int | None = None) -> tuple[int, int]:
+    """Grid sizes (theta_order, phi_count) of :func:`sphere_grid` that average
+    exactly over the directions of an N-spin code space.
+
+    Each sphere average taken here integrates a product of two encoded or
+    decoder amplitudes, spins <= N/2, possibly times a (1 + n.g)/2 score.
+    Its azimuthal harmonics e^{ik phi} have |k| <= N + 1 (N from the
+    overlap, +1 from the score), and its degree in cos(theta) is at most
+    N + 1, so the minimum (N + 2, N + 2) integrates it exactly. A size left
+    as None takes that minimum; anything coarser raises instead of
+    returning a biased average.
+    """
+    least = nspins + 2
+    theta_order = least if theta_order is None else theta_order
+    phi_count = least if phi_count is None else phi_count
+    if theta_order < least or phi_count < least:
+        raise ValueError(f"quadrature grid too coarse for exactness: N = {nspins} needs "
+                         f"theta_order and phi_count >= {least}")
+    return theta_order, phi_count
+
+
 def grid_unit_vectors(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Cartesian unit vectors for grid angles, shape (npoints, 3)."""
     st = np.sin(thetas)
@@ -222,16 +244,10 @@ def source_density(a: MultiRepState, theta_order: int | None = None,
                    phi_count: int | None = None) -> DensityMatrix:
     """Average of |A(n)><A(n)| over uniformly distributed directions.
 
-    The default grid is the smallest exact one; passing anything coarser
-    raises instead of silently returning a biased average.
+    Grid sizes follow :func:`exact_grid`: the default is the smallest exact
+    grid, and anything coarser raises.
     """
-    n = a.nspins
-    min_theta, min_phi = n + 2, n + 1
-    theta_order = min_theta if theta_order is None else theta_order
-    phi_count = min_phi if phi_count is None else phi_count
-    if theta_order < min_theta or phi_count < min_phi:
-        raise ValueError("quadrature grid too coarse for this code space")
-    w, th, ph = sphere_grid(theta_order, phi_count)
+    w, th, ph = sphere_grid(*exact_grid(a.nspins, theta_order, phi_count))
     amp = _block_amplitudes(a, th, ph)
     rho = (amp * w) @ amp.conj().T
     return DensityMatrix(rho)
@@ -239,9 +255,4 @@ def source_density(a: MultiRepState, theta_order: int | None = None,
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy -tr(rho log2 rho) in bits; zero eigenvalues contribute nothing."""
-    vals, _ = numerics.hermitian_eigensystem(rho.matrix)
-    total = 0.0
-    for v in vals.real:
-        if v > 1e-15:
-            total -= v * math.log2(v)
-    return total
+    return numerics.spectral_entropy(rho.matrix)

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import numerics
 from .codes import (MultiRepState, _axial_overlap, _block_amplitudes, code_state,
-                    grid_unit_vectors, matched_decoder, minimal_sn, sphere_grid)
+                    exact_grid, grid_unit_vectors, matched_decoder, minimal_sn,
+                    sphere_grid)
 from .su2 import Direction, Z_AXIS
 
 
@@ -107,12 +108,7 @@ def fidelity_quadrature(code: MultiRepState, decoder: MultiRepState | None = Non
     other decoder direction keeps the product grid over the sphere, whose
     agreement with the +z value is the covariance cross-check.
     """
-    n = code.nspins
-    min_theta, min_phi = n + 2, n + 2
-    theta_order = min_theta if theta_order is None else theta_order
-    phi_count = min_phi if phi_count is None else phi_count
-    if theta_order < min_theta or phi_count < min_phi:
-        raise ValueError("quadrature grid too coarse for exactness")
+    theta_order, phi_count = exact_grid(code.nspins, theta_order, phi_count)
     decoder = matched_decoder(code) if decoder is None else decoder
     if decoder.sn != code.sn or decoder.nspins != code.nspins:
         raise ValueError("decoder must live on the code's irrep tower")

@@ -23,6 +23,7 @@ __all__ = [
     "jacobi01_eval",
     "largest_zero",
     "legendre_eval",
+    "spectral_entropy",
     "tridiag_max_eigenpair",
 ]
 
@@ -314,6 +315,17 @@ def hermitian_eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     vals, vecs = np.linalg.eigh(h)
     return vals, vecs
+
+
+def spectral_entropy(h) -> float:
+    """Entropy -sum v log2 v in bits over the eigenvalues v of a Hermitian
+    matrix; eigenvalues at or below 1e-15 contribute nothing."""
+    vals, _ = hermitian_eigensystem(h)
+    total = 0.0
+    for v in vals.real:
+        if v > 1e-15:
+            total -= v * math.log2(v)
+    return total
 
 
 def bessel_j0_first_zero() -> float:

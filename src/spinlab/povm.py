@@ -1,7 +1,7 @@
 """Finite POVMs for direction decoding: exact fidelities and Monte Carlo.
 
-A finite POVM here is a list of weighted rank-one elements, each tagged
-with the direction the decoder reports when that outcome fires.
+A finite POVM here is three arrays over its K outcomes: weights, rank-one
+unit states and the unit vector the decoder reports when each one fires.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from . import numerics
 from .codes import (MultiRepState, _block_amplitudes, decoder_coefficients,
-                    grid_unit_vectors, sphere_grid)
+                    exact_grid, grid_unit_vectors, sphere_grid)
 from .su2 import Direction, HalfInt, X_AXIS, Y_AXIS, Z_AXIS, rotate_to
 
 # chunk size for vectorized sampling; fixed so a seed gives one stream
@@ -24,46 +24,44 @@ _BUDGET = 196 * _CHUNK
 
 
 @dataclass(frozen=True, eq=False)
-class PovmElement:
-    """One outcome: weight, unit state, and the direction guessed on firing."""
-
-    weight: float
-    state: np.ndarray
-    guess: Direction
-
-    def __post_init__(self):
-        if not self.weight > 0.0:
-            raise ValueError("weight must be positive")
-        state = np.asarray(self.state, dtype=complex)
-        if state.ndim != 1:
-            raise ValueError("state must be a vector")
-        if abs(np.linalg.norm(state) - 1.0) > 1e-12:
-            raise ValueError("state must be normalized")
-        object.__setattr__(self, "state", state)
-
-
-@dataclass(frozen=True, eq=False)
 class FinitePovm:
-    """Weighted rank-one elements; weights sum to the space dimension when
-    the elements resolve the identity."""
+    """Rank-one POVM on a dim-dimensional space, held as three read-only arrays.
+
+    Outcome k has weight ``weights[k] > 0``, unit state ``states[k]`` (a row
+    of the complex (K, dim) array) and guesses the unit vector
+    ``guesses[k]`` (a row of the (K, 3) array) when it fires. The outcomes
+    resolve the identity when the weighted Gram matrix
+    sum_k w_k |s_k><s_k| equals it, which :func:`check_identity` measures;
+    the weights then sum to dim.
+    """
 
     dim: int
-    elements: tuple[PovmElement, ...]
+    weights: np.ndarray
+    states: np.ndarray
+    guesses: np.ndarray
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        elements = tuple(self.elements)
-        if not elements:
-            raise ValueError("a POVM needs at least one element")
-        for el in elements:
-            if el.state.shape != (self.dim,):
-                raise ValueError("element dimension mismatch")
-        object.__setattr__(self, "elements", elements)
-
-    @property
-    def total_weight(self) -> float:
-        return float(sum(el.weight for el in self.elements))
+        weights = np.asarray(self.weights, dtype=float)
+        if weights.ndim != 1 or weights.size == 0:
+            raise ValueError("a POVM needs a vector of at least one weight")
+        if not np.all(weights > 0.0):
+            raise ValueError("weights must be positive")
+        states = np.asarray(self.states, dtype=complex, order="C")
+        if states.shape != (weights.size, self.dim):
+            raise ValueError(f"states must have shape ({weights.size}, {self.dim})")
+        if not np.all(np.abs(np.linalg.norm(states, axis=1) - 1.0) <= 1e-12):
+            raise ValueError("states must be normalized")
+        guesses = np.asarray(self.guesses, dtype=float)
+        if guesses.shape != (weights.size, 3):
+            raise ValueError(f"guesses must have shape ({weights.size}, 3)")
+        if not np.all(np.abs(np.linalg.norm(guesses, axis=1) - 1.0) <= 1e-12):
+            raise ValueError("guesses must be unit vectors")
+        for name, value in (("weights", weights), ("states", states), ("guesses", guesses)):
+            value = value.view()
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
 def quadrature_povm(sn, nspins: int, theta_order: int | None = None,
@@ -75,18 +73,20 @@ def quadrature_povm(sn, nspins: int, theta_order: int | None = None,
     band-limit of the decoder projectors.
     """
     sn = HalfInt.of(sn)
-    min_theta, min_phi = nspins + 2, nspins + 2
-    theta_order = min_theta if theta_order is None else theta_order
-    phi_count = min_phi if phi_count is None else phi_count
-    if theta_order < min_theta or phi_count < min_phi:
-        raise ValueError("grid too coarse to resolve the identity")
+    theta_order, phi_count = exact_grid(nspins, theta_order, phi_count)
     family = MultiRepState(sn, nspins, decoder_coefficients(sn, nspins).astype(complex))
     w, th, ph = sphere_grid(theta_order, phi_count)
     amp = _block_amplitudes(family, th, ph)
-    dim = family.dim
-    elements = [PovmElement(dim * w[k], amp[:, k], Direction(th[k], ph[k]))
-                for k in range(w.size)]
-    return FinitePovm(dim, tuple(elements))
+    return FinitePovm(family.dim, family.dim * w, np.ascontiguousarray(amp.T),
+                      grid_unit_vectors(th, ph))
+
+
+def _coherent_povm(s: HalfInt, dirs: tuple[Direction, ...], weight: float) -> FinitePovm:
+    """Spin-s coherent projectors |s, s; n>, one per direction n in dirs,
+    each with the same weight and guessing its own direction."""
+    states = np.stack([rotate_to(s, s, n).amps for n in dirs])
+    guesses = np.stack([n.unit_vector for n in dirs])
+    return FinitePovm(s.twice + 1, np.full(len(dirs), weight), states, guesses)
 
 
 def octahedron_povm() -> FinitePovm:
@@ -95,35 +95,23 @@ def octahedron_povm() -> FinitePovm:
     The minimal finite decoder for the four-dimensional coherent code; its
     exact mean fidelity equals the unrestricted optimum 4/5.
     """
-    spin = HalfInt(3)
-    dirs = [X_AXIS, X_AXIS.antipode(), Y_AXIS, Y_AXIS.antipode(), Z_AXIS, Z_AXIS.antipode()]
-    elements = [PovmElement(2.0 / 3.0, rotate_to(spin, spin, d).amps, d) for d in dirs]
-    return FinitePovm(4, tuple(elements))
+    dirs = (X_AXIS, X_AXIS.antipode(), Y_AXIS, Y_AXIS.antipode(), Z_AXIS, Z_AXIS.antipode())
+    return _coherent_povm(HalfInt(3), dirs, 2.0 / 3.0)
 
 
 def von_neumann_pair(m: Direction) -> FinitePovm:
     """Two-outcome spin-1/2 measurement along m, guessing m or its antipode."""
-    half = HalfInt(1)
-    up = rotate_to(half, half, m)
-    down = rotate_to(half, half, m.antipode())
-    return FinitePovm(2, (PovmElement(1.0, up.amps, m),
-                          PovmElement(1.0, down.amps, m.antipode())))
+    return _coherent_povm(HalfInt(1), (m, m.antipode()), 1.0)
 
 
 def check_identity(p: FinitePovm) -> float:
-    """Operator-norm deviation of sum_i w_i |s_i><s_i| from the identity."""
-    acc = -np.eye(p.dim, dtype=complex)
-    for el in p.elements:
-        acc += el.weight * np.outer(el.state, el.state.conj())
-    vals, _ = numerics.hermitian_eigensystem(acc)
+    """Operator-norm deviation of sum_k w_k |s_k><s_k| from the identity.
+
+    The sum is one weighted Gram matrix of the state rows.
+    """
+    gram = (p.states.T * p.weights) @ p.states.conj()
+    vals, _ = numerics.hermitian_eigensystem(gram - np.eye(p.dim))
     return float(np.max(np.abs(vals)))
-
-
-def _element_arrays(p: FinitePovm):
-    states = np.stack([el.state for el in p.elements])
-    weights = np.array([el.weight for el in p.elements])
-    guesses = np.stack([el.guess.unit_vector for el in p.elements])
-    return states, weights, guesses
 
 
 def povm_fidelity_exact(code: MultiRepState, p: FinitePovm,
@@ -132,7 +120,7 @@ def povm_fidelity_exact(code: MultiRepState, p: FinitePovm,
     """Exact mean fidelity of a code decoded by a finite POVM.
 
     Quadrature over the encoded direction of
-    sum_i w_i |<A(n)|s_i>|^2 (1 + n.g_i)/2. Refuses POVMs that do not
+    sum_k w_k |<A(n)|s_k>|^2 (1 + n.g_k)/2. Refuses POVMs that do not
     resolve the identity, since the result would not be a fidelity.
     """
     if p.dim != code.dim:
@@ -140,18 +128,11 @@ def povm_fidelity_exact(code: MultiRepState, p: FinitePovm,
     deviation = check_identity(p)
     if deviation > 1e-10:
         raise ValueError(f"POVM does not resolve the identity (deviation {deviation:.3e})")
-    n = code.nspins
-    min_theta, min_phi = n + 2, n + 2
-    theta_order = min_theta if theta_order is None else theta_order
-    phi_count = min_phi if phi_count is None else phi_count
-    if theta_order < min_theta or phi_count < min_phi:
-        raise ValueError("quadrature grid too coarse for exactness")
-    w, th, ph = sphere_grid(theta_order, phi_count)
+    w, th, ph = sphere_grid(*exact_grid(code.nspins, theta_order, phi_count))
     amp = _block_amplitudes(code, th, ph)
-    states, weights, guesses = _element_arrays(p)
-    prob = np.abs(states.conj() @ amp) ** 2              # (elements, points)
-    score = (1.0 + guesses @ grid_unit_vectors(th, ph).T) / 2.0
-    return float(np.sum(weights[:, None] * prob * score * w[None, :]))
+    prob = np.abs(p.states.conj() @ amp) ** 2              # (outcomes, points)
+    score = (1.0 + p.guesses @ grid_unit_vectors(th, ph).T) / 2.0
+    return float(np.sum(p.weights[:, None] * prob * score * w[None, :]))
 
 
 def _draw_outcomes(code: MultiRepState, bras: np.ndarray, weights: np.ndarray,
@@ -201,9 +182,8 @@ def simulate(code: MultiRepState, p: FinitePovm, shots: int, seed: int) -> tuple
     if p.dim != code.dim:
         raise ValueError("POVM and code dimensions differ")
     rng = np.random.default_rng(seed)
-    states, weights, guesses = _element_arrays(p)
-    bras = states.conj()
-    width = max(1, _BUDGET // max(weights.size, code.dim))
+    bras = p.states.conj()
+    width = max(1, _BUDGET // max(p.weights.size, code.dim))
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -216,8 +196,8 @@ def simulate(code: MultiRepState, p: FinitePovm, shots: int, seed: int) -> tuple
         idx = np.empty(k, dtype=np.intp)
         for lo in range(0, k, width):
             part = slice(lo, lo + width)
-            idx[part] = _draw_outcomes(code, bras, weights, th[part], ph[part], u[part])
-        score = (1.0 + np.sum(grid_unit_vectors(th, ph) * guesses[idx], axis=1)) / 2.0
+            idx[part] = _draw_outcomes(code, bras, p.weights, th[part], ph[part], u[part])
+        score = (1.0 + np.sum(grid_unit_vectors(th, ph) * p.guesses[idx], axis=1)) / 2.0
         total += float(score.sum())
         total_sq += float((score * score).sum())
         done += k

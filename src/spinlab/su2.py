@@ -294,13 +294,7 @@ def entanglement_entropy(state) -> float:
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("state must be normalized")
     mat = psi.reshape(2, 2)
-    rho = mat @ mat.conj().T
-    vals, _ = numerics.hermitian_eigensystem(rho)
-    total = 0.0
-    for v in vals.real:
-        if v > 1e-15:
-            total -= v * math.log2(v)
-    return total
+    return numerics.spectral_entropy(mat @ mat.conj().T)
 
 
 def overlap_sq_32(cos_angle: float, m) -> float:

@@ -7,7 +7,7 @@ import pytest
 
 from spinlab.codes import (AlphaFamily, DensityMatrix, MultiRepState,
                            alpha_code, alpha_state, code_state, coherent_code,
-                           decoder_coefficients, decoder_state,
+                           decoder_coefficients, decoder_state, exact_grid,
                            grid_unit_vectors, matched_decoder, minimal_sn,
                            source_density, sphere_grid, von_neumann_entropy)
 from spinlab.su2 import Direction, HalfInt, Z_AXIS, rotate_to
@@ -187,6 +187,16 @@ def test_source_density_finer_grid_agrees():
 def test_source_density_rejects_coarse_grid():
     with pytest.raises(ValueError):
         source_density(coherent_code(4), theta_order=2)
+
+
+def test_exact_grid_minimum_is_n_plus_two():
+    assert exact_grid(3) == (5, 5)
+    assert exact_grid(3, 9, 7) == (9, 7)
+    for sizes in ((4, None), (None, 4)):
+        with pytest.raises(ValueError):
+            exact_grid(3, *sizes)
+    with pytest.raises(ValueError):
+        source_density(coherent_code(4), phi_count=4)  # N = 3 needs 5 azimuths
 
 
 def test_density_matrix_validation():
