@@ -14,16 +14,21 @@ from spinlab.povm import (FinitePovm, check_identity, octahedron_povm,
 from spinlab.su2 import Direction, HalfInt, X_AXIS
 
 
-def test_finite_povm_validation():
+def test_povm_element_validation():
     up = np.array([[1.0, 0.0]], dtype=complex)
     z = np.array([[0.0, 0.0, 1.0]])
-    assert FinitePovm(2, [1.0], up, z).states.flags.c_contiguous
     with pytest.raises(ValueError):
         FinitePovm(2, [0.0], up, z)  # zero weight
     with pytest.raises(ValueError):
         FinitePovm(2, [1.0], 2.0 * up, z)  # unnormalised row
     with pytest.raises(ValueError):
         FinitePovm(2, [1.0], np.eye(2)[None], z)  # 2-D row
+
+
+def test_finite_povm_validation():
+    up = np.array([[1.0, 0.0]], dtype=complex)
+    z = np.array([[0.0, 0.0, 1.0]])
+    assert FinitePovm(2, [1.0], up, z).states.flags.c_contiguous
     with pytest.raises(ValueError):
         FinitePovm(2, [1.0, 1.0], up, z)  # one state for two weights
     with pytest.raises(ValueError):
