@@ -23,8 +23,9 @@ from .su2 import (Direction, HalfInt, X_AXIS, overlap_sq_32, peres_generators,
                   spin_operators, wigner_small_d)
 
 
-# largest --n for the grid POVM: (N+2)^2 outcomes over a (N/2+1)^2-dimensional
-# tower, a 4356 x 1089 complex state array (about 76 MB) at N = 64
+# largest --n for the grid POVM, set by its state array alone: (N+2)^2 outcomes
+# over a (N/2+1)^2-dimensional tower, 4356 x 1089 complex (about 76 MB) at
+# N = 64. The ring-first sampler holds O(N^2) values per shot, not O(N^4)
 GRID_MAX_N = 64
 
 
@@ -323,7 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="Monte Carlo decoding run")
     s.add_argument("--n", type=int, default=1,
                    help=f"number of spins; --povm grid takes N <= {GRID_MAX_N}, since the "
-                        "grid POVM's size grows as N^4")
+                        "grid POVM's state array grows as N^4. The grid is sampled ring "
+                        "first, about (N+1)(2N+4) + D operations plus the Wigner-d "
+                        "columns per shot (D = tower dimension); the octahedron "
+                        "computes all 6 outcome probabilities per shot")
     s.add_argument("--povm", choices=("grid", "octahedron"), default="grid")
     s.add_argument("--shots", type=int, default=100000)
     s.add_argument("--seed", type=int, default=0)

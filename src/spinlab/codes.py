@@ -220,9 +220,13 @@ def exact_grid(nspins: int, theta_order: int | None = None,
     Each sphere average taken here integrates a product of two encoded or
     decoder amplitudes, spins <= N/2, possibly times a (1 + n.g)/2 score.
     Its azimuthal harmonics e^{ik phi} have |k| <= N + 1 (N from the
-    overlap, +1 from the score), and its degree in cos(theta) is at most
-    N + 1, so the minimum (N + 2, N + 2) integrates it exactly. A size left
-    as None takes that minimum; anything coarser raises instead of
+    overlap, +1 from the score), so N + 2 azimuths integrate it exactly.
+    Its degree in cos(theta) is at most N + 1, and an n-node
+    Gauss-Legendre rule is exact to degree 2n - 1, so (N + 3) // 2 polar
+    nodes would suffice: the polar minimum of N + 2 is conservative, and is
+    kept because seeded outputs (the grid POVM's outcomes and so every
+    seeded ``simulate`` estimate) depend on the grid. A size left as None
+    takes the minimum (N + 2, N + 2); anything coarser raises instead of
     returning a biased average.
     """
     least = nspins + 2

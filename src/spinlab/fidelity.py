@@ -103,10 +103,13 @@ def fidelity_quadrature(code: MultiRepState, decoder: MultiRepState | None = Non
         D * sum_j (w_j / 2) (1 + x_j)/2 |sum_S conj(b_S) a_S d^S_{sn,sn}(arccos x_j)|^2.
 
     Each d^S_{sn,sn} times another is a polynomial in x of degree at most
-    S + S' <= N, so the integrand has degree N + 1 and theta_order >= N + 2
-    nodes integrate it exactly (phi_count is checked but not used). Any
-    other decoder direction keeps the product grid over the sphere, whose
-    agreement with the +z value is the covariance cross-check.
+    S + S' <= N, so the integrand has degree N + 1. An n-node
+    Gauss-Legendre rule is exact to degree 2n - 1, so (N + 3) // 2 nodes
+    would already integrate it exactly; the minimum of N + 2 that
+    :func:`spinlab.codes.exact_grid` enforces is conservative, and is kept
+    because seeded outputs depend on the grid (phi_count is checked but not
+    used). Any other decoder direction keeps the product grid over the
+    sphere, whose agreement with the +z value is the covariance cross-check.
     """
     theta_order, phi_count = exact_grid(code.nspins, theta_order, phi_count)
     decoder = matched_decoder(code) if decoder is None else decoder

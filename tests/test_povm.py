@@ -6,12 +6,22 @@ import numpy as np
 import pytest
 
 from spinlab import povm
-from spinlab.codes import coherent_code, minimal_sn
+from spinlab.codes import (AlphaFamily, MultiRepState, _block_amplitudes, alpha_code,
+                           coherent_code, decoder_coefficients, minimal_sn, sphere_grid)
 from spinlab.fidelity import fidelity_quadrature, max_fidelity_rotation
-from spinlab.povm import (FinitePovm, check_identity, octahedron_povm,
+from spinlab.povm import (FinitePovm, RingLayout, check_identity, octahedron_povm,
                           povm_fidelity_exact, quadrature_povm, simulate,
                           von_neumann_pair)
 from spinlab.su2 import Direction, HalfInt, X_AXIS
+
+
+def _without_layout(p):
+    """The same three arrays as a POVM that takes the generic sampling path."""
+    return FinitePovm(p.dim, p.weights, p.states, p.guesses)
+
+
+def _forbidden(*args):
+    raise AssertionError("this sampling path must not run here")
 
 
 def test_povm_element_validation():
@@ -57,6 +67,36 @@ def test_quadrature_povm_resolves_identity(nspins):
     p = quadrature_povm(minimal_sn(nspins), nspins)
     assert check_identity(p) < 1e-10
     assert p.weights.sum() == pytest.approx(p.dim, abs=1e-10)
+
+
+@pytest.mark.parametrize("nspins", [1, 2, 7, 20])
+def test_quadrature_povm_rows_are_grid_decoder_states(nspins):
+    # one Wigner-d column per ring times the azimuth phases gives the decoder
+    # state at every grid point, and the POVM declares that layout
+    sn = minimal_sn(nspins)
+    p = quadrature_povm(sn, nspins)
+    assert p.layout == RingLayout(sn, nspins, nspins + 2)
+    family = MultiRepState(sn, nspins, decoder_coefficients(sn, nspins).astype(complex))
+    _, th, ph = sphere_grid(nspins + 2, nspins + 2)
+    assert np.max(np.abs(p.states - _block_amplitudes(family, th, ph).T)) <= 1e-14
+
+
+def test_ring_layout_is_checked_against_rows():
+    p = quadrature_povm(HalfInt(0), 2)  # 4 rings of 4 outcomes, dimension 4
+    assert _without_layout(p).layout is None
+    swapped = p.states.copy()
+    swapped[[1, 2]] = swapped[[2, 1]]  # two azimuths of ring 0 trade places
+    with pytest.raises(ValueError):
+        FinitePovm(p.dim, p.weights, swapped, p.guesses, p.layout)
+    uneven = p.weights.copy()
+    uneven[0] *= 1.5  # one outcome of a ring weighs more than its neighbours
+    with pytest.raises(ValueError):
+        FinitePovm(p.dim, uneven, p.states, p.guesses, p.layout)
+    for layout in (RingLayout(HalfInt(0), 2, 8),   # rings of 8 cut across the rows
+                   RingLayout(HalfInt(0), 2, 2),   # 2 azimuths cannot separate m = -1..1
+                   RingLayout(HalfInt(2), 2, 4)):  # a tower of dimension 3, not 4
+        with pytest.raises(ValueError):
+            FinitePovm(p.dim, p.weights, p.states, p.guesses, layout)
 
 
 def test_quadrature_povm_finer_grid_still_resolves():
@@ -153,12 +193,16 @@ def test_simulate_crosses_chunk_boundary_deterministically():
 
 def test_simulate_sub_blocks_match_whole_chunk(monkeypatch):
     _, code = max_fidelity_rotation(3)
-    p = quadrature_povm(minimal_sn(3), 3)  # 25 outcomes, dimension 6
-    whole = simulate(code, p, 5000, 9)
-    monkeypatch.setattr(povm, "_BUDGET", 25 * 777)  # 777 shots per sub-block
-    split = simulate(code, p, 5000, 9)
-    assert split == pytest.approx(whole, abs=1e-12)
-    assert simulate(code, p, 5000, 9) == split
+    ring = quadrature_povm(minimal_sn(3), 3)  # 25 outcomes, dimension 6
+    assert ring.layout is not None
+    for p in (ring, _without_layout(ring)):
+        whole = simulate(code, p, 5000, 9)
+        with monkeypatch.context() as patch:
+            # 777 shots per sub-block on the generic path, 1214 on the ring path
+            patch.setattr(povm, "_BUDGET", 25 * 777)
+            split = simulate(code, p, 5000, 9)
+            assert split == pytest.approx(whole, abs=1e-12)
+            assert simulate(code, p, 5000, 9) == split
 
 
 def test_simulate_seeded_values_pinned():
@@ -168,6 +212,62 @@ def test_simulate_seeded_values_pinned():
     assert grid == pytest.approx((0.8428768409560593, 0.0021290700992061154), abs=1e-12)
     octa = simulate(coherent_code(4), octahedron_povm(), 20_000, 11)
     assert octa == pytest.approx((0.7994699350491979, 0.001151710694446307), abs=1e-12)
+
+
+@pytest.mark.parametrize("nspins", [*range(1, 13), 20, 40])
+def test_ring_path_draws_what_the_generic_path_draws(nspins, monkeypatch):
+    _, code = max_fidelity_rotation(nspins)
+    p = quadrature_povm(minimal_sn(nspins), nspins)
+    want = simulate(code, _without_layout(p), 3000, nspins)
+    monkeypatch.setattr(povm, "_draw_outcomes", _forbidden)
+    assert simulate(code, p, 3000, nspins) == want
+
+
+def test_ring_path_with_complex_code_on_finer_grid(monkeypatch):
+    code = alpha_code(AlphaFamily(0.6, 1.1))
+    p = quadrature_povm(HalfInt(0), 2, theta_order=9, phi_count=11)
+    want = simulate(code, _without_layout(p), 20_000, 4)
+    monkeypatch.setattr(povm, "_draw_outcomes", _forbidden)
+    assert simulate(code, p, 20_000, 4) == want
+
+
+def test_ring_path_needs_the_codes_own_tower(monkeypatch):
+    # the two-spin grid POVM resolves the identity of any four-dimensional
+    # space, but its layout describes the tower (sn, N) = (0, 2), not that
+    # of the spin-3/2 coherent code, so the generic path samples it
+    p = quadrature_povm(HalfInt(0), 2)
+    want = simulate(coherent_code(4), _without_layout(p), 2000, 1)
+    monkeypatch.setattr(povm, "_ring_sampler", _forbidden)
+    assert simulate(coherent_code(4), p, 2000, 1) == want
+
+
+def test_simulate_rejects_scaled_ring(monkeypatch):
+    _, code = max_fidelity_rotation(3)
+    p = quadrature_povm(minimal_sn(3), 3)
+    weights = p.weights.copy()
+    weights[5:10] *= 1.5  # all of ring 1: the layout holds, the identity does not
+    scaled = FinitePovm(p.dim, weights, p.states, p.guesses, p.layout)
+    monkeypatch.setattr(povm, "_draw_outcomes", _forbidden)
+    with pytest.raises(RuntimeError, match="sum to 1"):
+        simulate(code, scaled, 1000, 0)
+
+
+def test_simulate_checks_chosen_ring_against_its_fit(monkeypatch):
+    # moving 0.01 of fitted probability from ring 1 to ring 0 keeps the
+    # ring sums at 1, so only the per-ring check can notice
+    fit = povm.chebyshev.chebinterpolate
+
+    def shifted(func, deg):
+        coef = fit(func, deg)
+        coef[0, 0] += 0.01
+        coef[0, 1] -= 0.01
+        return coef
+
+    _, code = max_fidelity_rotation(3)
+    p = quadrature_povm(minimal_sn(3), 3)
+    monkeypatch.setattr(povm.chebyshev, "chebinterpolate", shifted)
+    with pytest.raises(RuntimeError, match="fitted probability"):
+        simulate(code, p, 5000, 0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
