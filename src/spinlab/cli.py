@@ -198,25 +198,21 @@ def _checks_fixed_povms() -> list[Check]:
     return out
 
 
+def _algebra_residual(x, y, z) -> float:
+    """Largest entry of [x, y] - i z over the three cyclic commutators."""
+    return max(float(np.max(np.abs(a @ b - b @ a - 1j * c)))
+               for a, b, c in ((x, y, z), (y, z, x), (z, x, y)))
+
+
 def _checks_structure() -> list[Check]:
     out = []
     gx, gy, gz = peres_generators()
-    worst = max(
-        float(np.max(np.abs(gx @ gy - gy @ gx - 1j * gz))),
-        float(np.max(np.abs(gy @ gz - gz @ gy - 1j * gx))),
-        float(np.max(np.abs(gz @ gx - gx @ gz - 1j * gy))),
-    )
-    out.append(_residual("peres_algebra", worst, 1e-13))
+    out.append(_residual("peres_algebra", _algebra_residual(gx, gy, gz), 1e-13))
     casimir = gx @ gx + gy @ gy + gz @ gz - (15.0 / 4.0) * np.eye(4)
     out.append(_residual("peres_casimir", float(np.max(np.abs(casimir))), 1e-13))
     for twice in (1, 2, 3, 8, 25):
-        sx, sy, sz = spin_operators(HalfInt(twice))
-        worst = max(
-            float(np.max(np.abs(sx @ sy - sy @ sx - 1j * sz))),
-            float(np.max(np.abs(sy @ sz - sz @ sy - 1j * sx))),
-            float(np.max(np.abs(sz @ sx - sx @ sz - 1j * sy))),
-        )
-        out.append(_residual(f"spin_algebra_2s{twice}", worst, 1e-13))
+        out.append(_residual(f"spin_algebra_2s{twice}",
+                             _algebra_residual(*spin_operators(HalfInt(twice))), 1e-13))
     return out
 
 
@@ -256,8 +252,16 @@ def _checks_infogain() -> list[Check]:
     for n in (1, 2):
         closed = infogain.info_gain_closed(n)
         quad = infogain.info_gain_quadrature(coherent_code(2 ** n))
-        out.append(_residual(f"infogain_quadrature_n{n}", abs(closed - quad), 1e-6))
-    return out
+        out.append(_residual(f"infogain_quadrature_n{n}", abs(closed - quad), 1e-12))
+    # two-spin gain int q log2(q) dx/2 with q = (a x + b)^2, a = sqrt(3) cos(alpha), b = sin(alpha)
+    # is [F(b + a) - F(b - a)] / a with F' = u^2 log2|u|, and b^2 log2(b^2) at a = 0
+    F = lambda u: u ** 3 * (math.log2(abs(u) or 1.0) / 3.0 - 1.0 / (9.0 * math.log(2.0)))
+    errs = []
+    for alpha in (0.0, math.pi / 18.0, 0.29908, math.pi / 4.0, 1.2, math.pi / 2.0):
+        a, b = math.sqrt(3.0) * math.cos(alpha), math.sin(alpha)
+        want = (F(b + a) - F(b - a)) / a if a > 1e-12 else b * b * math.log2(b * b)
+        errs.append(abs(infogain.info_gain_quadrature(alpha_code(AlphaFamily(alpha))) - want))
+    return out + [_residual("infogain_two_spin_closed_form", max(errs), 1e-12)]
 
 
 def _checks_asymptotic() -> list[Check]:

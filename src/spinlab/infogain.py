@@ -5,12 +5,19 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial import chebyshev
+from scipy import special
 
 from . import numerics
 from .codes import AlphaFamily, MultiRepState, _axial_overlap, alpha_code, matched_decoder
 
 _LOG2E = 1.0 / math.log(2.0)
-_MAX_THETA_ORDER = 8192
+# Gauss-Legendre nodes per piece, taken to t in [0, 1] and through s(t) = t^3 (10 - 15t + 6t^2):
+# nodes s(t_j), weights s'(t_j) w_j / 4 (1/2 from dt, 1/2 from the sphere's dx/2)
+_PIECE_ORDER = 48
+_T = (numerics.gauss_legendre(_PIECE_ORDER).nodes + 1.0) / 2.0
+_PIECE_NODES = _T ** 3 * (10.0 - 15.0 * _T + 6.0 * _T ** 2)
+_PIECE_WEIGHTS = 7.5 * (_T * (1.0 - _T)) ** 2 * numerics.gauss_legendre(_PIECE_ORDER).weights
 
 
 def info_gain_closed(nspins: int) -> float:
@@ -24,45 +31,34 @@ def info_gain_closed(nspins: int) -> float:
     return nspins - (1.0 - 2.0 ** (-nspins)) * _LOG2E
 
 
-def info_gain_quadrature(code: MultiRepState, decoder: MultiRepState | None = None,
-                         theta_order: int = 64, tol: float = 1e-8) -> float:
-    """Average gain int dn q log2(q) with q = D |<A(n)|B(z)>|^2.
+def info_gain_quadrature(code: MultiRepState, decoder: MultiRepState | None = None) -> float:
+    """Average gain int dn q log2(q), q = D |<A(n)|B(z)>|^2, by one fixed rule.
 
-    The decoder lies on +z, so q depends on theta alone (the overlap is
-    sum_S conj(b_S) a_S d^S_{sn,sn}(theta) up to a phase) and the sphere
-    average is one Gauss-Legendre sum in x = cos(theta) with weights w_j/2.
-    q integrates to 1 whenever the decoder resolves the identity (checked,
-    since a failed check means the "gain" is meaningless). The integrand has
-    logarithmic kinks wherever the overlap vanishes, so the rule is not
-    exact; two rules 1.5x apart must agree within tol, and the order
-    doubles until they do.
+    q depends on x = cos(theta) alone: the overlap is p(x) = ((1+x)/2)^sn r(x)
+    with r = sum_S conj(b_S) a_S P^(0,2sn)_{S-sn}(x) of degree B - 1 (B blocks),
+    sampled in that Jacobi form since p / ((1+x)/2)^sn loses digits near -1.
+    [-1, 1] is cut at Re(z) for each root z of r's Chebyshev series (exact
+    from B nodes) inside it. q log q is smooth on each piece, x = a + (b - a)
+    s(t) flattens its kinks at the cuts and at -1, and _PIECE_ORDER
+    Gauss-Legendre nodes per piece reach rounding level. Decoders that are
+    not phase-matched take the same path. Raises unless q integrates to 1,
+    i.e. unless the decoder resolves the identity.
     """
     decoder = matched_decoder(code) if decoder is None else decoder
     if decoder.sn != code.sn or decoder.nspins != code.nspins:
         raise ValueError("decoder must live on the code's irrep tower")
-    dim = code.dim
-
-    def at_order(order: int) -> float:
-        rule = numerics.gauss_legendre(order)
-        w = rule.weights / 2.0
-        q = dim * np.abs(_axial_overlap(code, decoder, np.arccos(rule.nodes))) ** 2
-        mass = float(np.sum(w * q))
-        if abs(mass - 1.0) > 1e-8:
-            raise RuntimeError(
-                f"outcome density integrates to {mass!r}, not 1; "
-                "the decoder does not resolve the identity")
-        terms = np.where(q > 0.0, q * np.log2(np.where(q > 0.0, q, 1.0)), 0.0)
-        return float(np.sum(w * terms))
-
-    order = theta_order
-    coarse = at_order(order)
-    while order <= _MAX_THETA_ORDER:
-        fine = at_order(order * 3 // 2)
-        if abs(fine - coarse) <= tol:
-            return fine
-        order *= 2
-        coarse = at_order(order)
-    raise RuntimeError("information-gain quadrature did not stabilize")
+    roots = chebyshev.chebroots(chebyshev.chebinterpolate(lambda x: sum(
+        np.conj(b) * a * special.eval_jacobi((s.twice - code.sn.twice) // 2, 0.0, code.sn.twice, x)
+        for a, b, s in zip(code.coeffs, decoder.coeffs, code.spins)), code.coeffs.size - 1)).real
+    cuts = np.unique(np.concatenate(([-1.0, 1.0], roots[np.abs(roots) < 1.0])))
+    x = (cuts[:-1, None] + np.outer(np.diff(cuts), _PIECE_NODES)).ravel()
+    w = np.outer(np.diff(cuts), _PIECE_WEIGHTS).ravel()
+    q = code.dim * np.abs(_axial_overlap(code, decoder, np.arccos(x))) ** 2
+    mass = float(np.sum(w * q))
+    if abs(mass - 1.0) > 1e-8:
+        raise RuntimeError(f"outcome density integrates to {mass!r}, not 1; "
+                           "the decoder does not resolve the identity")
+    return float(np.sum(w * special.xlogy(q, q))) * _LOG2E
 
 
 def _alpha_gain(alpha: float, beta: float) -> float:

@@ -177,7 +177,7 @@ def test_infogain_quadrature_table(capsys):
     assert header == ["n", "closed", "quadrature", "abs_diff"]
     assert len(rows) == 3
     for row in rows:
-        assert float(row["abs_diff"]) < 1e-6
+        assert float(row["abs_diff"]) < 1e-12
         # columns are rounded to 15 digits independently of their difference
         recomputed = abs(float(row["closed"]) - float(row["quadrature"]))
         assert recomputed == pytest.approx(float(row["abs_diff"]), abs=1e-14)
