@@ -1,8 +1,9 @@
 """Command-line front end: tables, verification suite, simulations.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage
-errors. All tables are CSV by default (15 significant digits, newline
-endings) or JSON arrays of flat objects with the same keys.
+errors and when the --out file cannot be written. All tables are CSV by
+default (15 significant digits, newline endings) or JSON arrays of flat
+objects with the same keys.
 """
 
 from __future__ import annotations
@@ -51,9 +52,13 @@ def _emit(headers: list[str], rows: list[tuple], fmt: str, out: str | None) -> N
 def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as err:
+        sys.stderr.write(f"spinlab: error: cannot write --out {out}: {err.strerror}\n")
+        raise SystemExit(2)
 
 
 def cmd_table(max_n: int, fmt: str, out: str | None) -> int:
@@ -361,6 +366,8 @@ def main(argv=None) -> int:
             parser.error("--n must be >= 1")
         if args.shots < 1:
             parser.error("--shots must be >= 1")
+        if args.seed < 0:
+            parser.error("--seed must be >= 0")
         if args.povm == "grid" and args.n > GRID_MAX_N:
             parser.error(f"--povm grid takes --n up to {GRID_MAX_N}")
         if args.povm == "octahedron" and args.n != 2:

@@ -212,9 +212,8 @@ def sphere_grid(theta_order: int, phi_count: int) -> tuple[np.ndarray, np.ndarra
     return weights, np.repeat(thetas, phi_count), np.tile(phis, theta_order)
 
 
-def exact_grid(nspins: int, theta_order: int | None = None,
-               phi_count: int | None = None) -> tuple[int, int]:
-    """Grid sizes (theta_order, phi_count) of :func:`sphere_grid` that average
+def _exact_size(nspins: int) -> int:
+    """Polar nodes and azimuths, N + 2 each, of the sphere grid that averages
     exactly over the directions of an N-spin code space.
 
     Each sphere average taken here integrates a product of two encoded or
@@ -223,19 +222,23 @@ def exact_grid(nspins: int, theta_order: int | None = None,
     overlap, +1 from the score), so N + 2 azimuths integrate it exactly.
     Its degree in cos(theta) is at most N + 1, and an n-node
     Gauss-Legendre rule is exact to degree 2n - 1, so (N + 3) // 2 polar
-    nodes would suffice: the polar minimum of N + 2 is conservative, and is
+    nodes would suffice: the polar count of N + 2 is conservative, and is
     kept because seeded outputs (the grid POVM's outcomes and so every
-    seeded ``simulate`` estimate) depend on the grid. A size left as None
-    takes the minimum (N + 2, N + 2); anything coarser raises instead of
-    returning a biased average.
+    seeded ``simulate`` estimate) depend on the grid.
     """
-    least = nspins + 2
-    theta_order = least if theta_order is None else theta_order
-    phi_count = least if phi_count is None else phi_count
-    if theta_order < least or phi_count < least:
-        raise ValueError(f"quadrature grid too coarse for exactness: N = {nspins} needs "
-                         f"theta_order and phi_count >= {least}")
-    return theta_order, phi_count
+    return nspins + 2
+
+
+def _tower_phases(sn: HalfInt, nspins: int, count: int) -> np.ndarray:
+    """e^{-i m 2 pi l / count} for l < count, shape (count, tower dimension).
+
+    Columns follow the components of the tower S = N/2, N/2 - 1, ..., sn,
+    blocks in descending spin and projections m = S, ..., -S in each.
+    """
+    m = np.concatenate([_projection_values(HalfInt(t))
+                        for t in range(nspins, sn.twice - 1, -2)])
+    azimuths = 2.0 * math.pi * np.arange(count) / count
+    return np.exp(-1j * np.multiply.outer(azimuths, m))
 
 
 def grid_unit_vectors(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -244,17 +247,27 @@ def grid_unit_vectors(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return np.stack([st * np.cos(phis), st * np.sin(phis), np.cos(thetas)], axis=1)
 
 
-def source_density(a: MultiRepState, theta_order: int | None = None,
-                   phi_count: int | None = None) -> DensityMatrix:
-    """Average of |A(n)><A(n)| over uniformly distributed directions.
+def exact_sphere(a: MultiRepState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact sphere grid of :func:`_exact_size` for a code family, ring by ring.
 
-    Grid sizes follow :func:`exact_grid`: the default is the smallest exact
-    grid, and anything coarser raises.
+    Returns (weights (K,), states (K, dim), unit vectors (K, 3)) over the
+    K = (N + 2)^2 points of :func:`sphere_grid`: the weights sum to 1 and
+    row k of states is the encoded state A(n_k). The state at a grid point
+    is its polar ring's state at azimuth 0 times e^{-i m phi} per component,
+    so one Wigner-d column per block and polar angle builds every row.
     """
-    w, th, ph = sphere_grid(*exact_grid(a.nspins, theta_order, phi_count))
-    amp = _block_amplitudes(a, th, ph)
-    rho = (amp * w) @ amp.conj().T
-    return DensityMatrix(rho)
+    size = _exact_size(a.nspins)
+    w, th, ph = sphere_grid(size, size)
+    rings = _block_amplitudes(a, th[::size], np.zeros(size))
+    states = (rings.T[:, None, :] * _tower_phases(a.sn, a.nspins, size)).reshape(-1, a.dim)
+    return w, states, grid_unit_vectors(th, ph)
+
+
+def source_density(a: MultiRepState) -> DensityMatrix:
+    """Average of |A(n)><A(n)| over uniformly distributed directions, taken
+    exactly on :func:`exact_sphere`."""
+    w, states, _ = exact_sphere(a)
+    return DensityMatrix((states.T * w) @ states.conj())
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

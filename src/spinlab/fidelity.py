@@ -14,9 +14,8 @@ import math
 import numpy as np
 
 from . import numerics
-from .codes import (MultiRepState, _axial_overlap, _block_amplitudes, code_state,
-                    exact_grid, grid_unit_vectors, matched_decoder, minimal_sn,
-                    sphere_grid)
+from .codes import (MultiRepState, _axial_overlap, _exact_size, code_state, exact_sphere,
+                    matched_decoder, minimal_sn)
 from .su2 import Direction, Z_AXIS
 
 
@@ -86,45 +85,37 @@ def fidelity_parallel(nspins: int) -> float:
 
 
 def fidelity_quadrature(code: MultiRepState, decoder: MultiRepState | None = None,
-                        theta_order: int | None = None, phi_count: int | None = None,
                         decoder_direction: Direction = Z_AXIS) -> float:
     """Mean fidelity by direct quadrature of the defining average.
 
     Computes D * int dn (1 + n.m)/2 |<A(n)|B(m)>|^2 over the normalized
     sphere measure, with B the covariant decoder family (phase-matched to
     the code unless one is passed explicitly) evaluated at the fixed
-    direction m. The integrand is band-limited, so the default grid is
-    exact, not approximate.
+    direction m. The integrand is band-limited, so the grid of
+    :func:`spinlab.codes.exact_sphere` is exact, not approximate.
 
     With the decoder on +z (m.theta == 0, any phi) the integrand depends on
     theta alone: the overlap is sum_S conj(b_S) a_S d^S_{sn,sn}(theta) up to
-    a phase, so the average is one Gauss-Legendre sum in x = cos(theta),
+    a phase, so the average is one Gauss-Legendre sum in x = cos(theta)
+    over the polar nodes of that grid,
 
         D * sum_j (w_j / 2) (1 + x_j)/2 |sum_S conj(b_S) a_S d^S_{sn,sn}(arccos x_j)|^2.
 
-    Each d^S_{sn,sn} times another is a polynomial in x of degree at most
-    S + S' <= N, so the integrand has degree N + 1. An n-node
-    Gauss-Legendre rule is exact to degree 2n - 1, so (N + 3) // 2 nodes
-    would already integrate it exactly; the minimum of N + 2 that
-    :func:`spinlab.codes.exact_grid` enforces is conservative, and is kept
-    because seeded outputs depend on the grid (phi_count is checked but not
-    used). Any other decoder direction keeps the product grid over the
-    sphere, whose agreement with the +z value is the covariance cross-check.
+    Any other decoder direction keeps the whole grid over the sphere, whose
+    agreement with the +z value is the covariance cross-check.
     """
-    theta_order, phi_count = exact_grid(code.nspins, theta_order, phi_count)
     decoder = matched_decoder(code) if decoder is None else decoder
     if decoder.sn != code.sn or decoder.nspins != code.nspins:
         raise ValueError("decoder must live on the code's irrep tower")
     if decoder_direction.theta == 0.0:
-        rule = numerics.gauss_legendre(theta_order)
+        rule = numerics.gauss_legendre(_exact_size(code.nspins))
         overlap_sq = np.abs(_axial_overlap(code, decoder, np.arccos(rule.nodes))) ** 2
         score = (1.0 + rule.nodes) / 2.0
         return float(code.dim * np.sum(rule.weights / 2.0 * score * overlap_sq))
-    w, th, ph = sphere_grid(theta_order, phi_count)
-    amp = _block_amplitudes(code, th, ph)
+    w, states, vecs = exact_sphere(code)
     bvec = code_state(decoder, decoder_direction)
-    overlap_sq = np.abs(bvec.conj() @ amp) ** 2
-    score = (1.0 + grid_unit_vectors(th, ph) @ decoder_direction.unit_vector) / 2.0
+    overlap_sq = np.abs(bvec.conj() @ states.T) ** 2
+    score = (1.0 + vecs @ decoder_direction.unit_vector) / 2.0
     return float(code.dim * np.sum(w * score * overlap_sq))
 
 

@@ -16,8 +16,8 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from . import numerics
-from .codes import (MultiRepState, _block_amplitudes, decoder_coefficients,
-                    exact_grid, grid_unit_vectors, sphere_grid)
+from .codes import (MultiRepState, _block_amplitudes, _exact_size, _tower_phases,
+                    decoder_coefficients, exact_sphere, grid_unit_vectors)
 from .su2 import Direction, HalfInt, X_AXIS, Y_AXIS, Z_AXIS, _d_column, rotate_to
 
 # chunk size for vectorized sampling; fixed so a seed gives one stream
@@ -49,15 +49,9 @@ class RingLayout:
         object.__setattr__(self, "sn", HalfInt.of(self.sn))
 
     def phases(self) -> np.ndarray:
-        """e^{-i m 2 pi l / ring_size}, shape (ring_size, tower dimension).
-
-        Columns follow the tower components, blocks in descending spin; the
-        first block, S = N/2, holds each of the N + 1 projections once.
-        """
-        m = np.concatenate([np.arange(t, -t - 1, -2) / 2.0
-                            for t in range(self.nspins, self.sn.twice - 1, -2)])
-        azimuths = 2.0 * math.pi * np.arange(self.ring_size) / self.ring_size
-        return np.exp(-1j * np.multiply.outer(azimuths, m))
+        """e^{-i m 2 pi l / ring_size} from :func:`spinlab.codes._tower_phases`;
+        the first block, S = N/2, holds each of the N + 1 projections once."""
+        return _tower_phases(self.sn, self.nspins, self.ring_size)
 
 
 def _check_ring_layout(layout: RingLayout, weights: np.ndarray, states: np.ndarray) -> None:
@@ -126,25 +120,19 @@ class FinitePovm:
             object.__setattr__(self, name, value)
 
 
-def quadrature_povm(sn, nspins: int, theta_order: int | None = None,
-                    phi_count: int | None = None) -> FinitePovm:
+def quadrature_povm(sn, nspins: int) -> FinitePovm:
     """Grid discretization of the covariant decoder measurement.
 
-    Element weights are D times the grid weights, so they sum to D and the
-    elements resolve the identity exactly whenever the grid meets the
-    band-limit of the decoder projectors. The decoder state at a grid point
-    is its ring's state at azimuth 0 times e^{-i m phi} per component, so
-    the rows are built from one Wigner-d column per block and polar angle,
-    and the POVM declares that :class:`RingLayout`.
+    One outcome per point of :func:`spinlab.codes.exact_sphere` for the
+    decoder family, with D times the grid weight, so the weights sum to D
+    and the elements resolve the identity exactly. The rows are built ring
+    by ring, and the POVM declares that :class:`RingLayout`.
     """
     sn = HalfInt.of(sn)
-    theta_order, phi_count = exact_grid(nspins, theta_order, phi_count)
     family = MultiRepState(sn, nspins, decoder_coefficients(sn, nspins).astype(complex))
-    w, th, ph = sphere_grid(theta_order, phi_count)
-    layout = RingLayout(sn, nspins, phi_count)
-    rings = _block_amplitudes(family, th[::phi_count], np.zeros(theta_order))
-    states = (rings.T[:, None, :] * layout.phases()).reshape(-1, family.dim)
-    return FinitePovm(family.dim, family.dim * w, states, grid_unit_vectors(th, ph), layout)
+    w, states, vecs = exact_sphere(family)
+    layout = RingLayout(sn, nspins, _exact_size(nspins))
+    return FinitePovm(family.dim, family.dim * w, states, vecs, layout)
 
 
 def _coherent_povm(s: HalfInt, dirs: tuple[Direction, ...], weight: float) -> FinitePovm:
@@ -180,24 +168,21 @@ def check_identity(p: FinitePovm) -> float:
     return float(np.max(np.abs(vals)))
 
 
-def povm_fidelity_exact(code: MultiRepState, p: FinitePovm,
-                        theta_order: int | None = None,
-                        phi_count: int | None = None) -> float:
+def povm_fidelity_exact(code: MultiRepState, p: FinitePovm) -> float:
     """Exact mean fidelity of a code decoded by a finite POVM.
 
-    Quadrature over the encoded direction of
-    sum_k w_k |<A(n)|s_k>|^2 (1 + n.g_k)/2. Refuses POVMs that do not
-    resolve the identity, since the result would not be a fidelity.
+    The average of sum_k w_k |<A(n)|s_k>|^2 (1 + n.g_k)/2 over the encoded
+    direction n, exact on :func:`spinlab.codes.exact_sphere`. Refuses POVMs
+    that do not resolve the identity, since the result would not be a fidelity.
     """
     if p.dim != code.dim:
         raise ValueError("POVM and code dimensions differ")
     deviation = check_identity(p)
     if deviation > 1e-10:
         raise ValueError(f"POVM does not resolve the identity (deviation {deviation:.3e})")
-    w, th, ph = sphere_grid(*exact_grid(code.nspins, theta_order, phi_count))
-    amp = _block_amplitudes(code, th, ph)
-    prob = np.abs(p.states.conj() @ amp) ** 2              # (outcomes, points)
-    score = (1.0 + p.guesses @ grid_unit_vectors(th, ph).T) / 2.0
+    w, states, vecs = exact_sphere(code)
+    prob = np.abs(p.states.conj() @ states.T) ** 2         # (outcomes, points)
+    score = (1.0 + p.guesses @ vecs.T) / 2.0
     return float(np.sum(p.weights[:, None] * prob * score * w[None, :]))
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -242,9 +243,15 @@ def test_asymptotic_output(capsys):
     ["bogus"],
     [],
     ["simulate", "--n", "65"],
+    ["simulate", "--seed", "-1"],
+    ["table", "--max-n", "3", "--out", os.path.join(os.devnull, "x.csv")],
+    ["verify", "--out", os.curdir],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(argv)
     assert err.value.code == 2
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if "--out" in argv:  # a file that cannot be written is reported in one line
+        assert len(captured.err.splitlines()) == 1 and "cannot write" in captured.err

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from spinlab.codes import (AlphaFamily, DensityMatrix, MultiRepState,
+from spinlab import fidelity, povm
+from spinlab.codes import (AlphaFamily, DensityMatrix, MultiRepState, _block_amplitudes,
                            alpha_code, alpha_state, code_state, coherent_code,
-                           decoder_coefficients, decoder_state, exact_grid,
+                           decoder_coefficients, decoder_state, exact_sphere,
                            grid_unit_vectors, matched_decoder, minimal_sn,
                            source_density, sphere_grid, von_neumann_entropy)
 from spinlab.su2 import Direction, HalfInt, Z_AXIS, rotate_to
@@ -164,6 +165,14 @@ def block_average_oracle(code):
     return out
 
 
+def random_code(nspins, seed):
+    """Seeded complex coefficients over the whole tower of N spins."""
+    sn = minimal_sn(nspins)
+    blocks = (nspins - sn.twice) // 2 + 1
+    c = np.array([1.0, 1.0j]) @ np.random.default_rng(seed).normal(size=(2, blocks))
+    return MultiRepState(sn, nspins, c / np.linalg.norm(c))
+
+
 @pytest.mark.parametrize("code", [
     coherent_code(2),
     coherent_code(3),
@@ -171,32 +180,37 @@ def block_average_oracle(code):
     alpha_code(AlphaFamily(math.pi / 4.0)),
     alpha_code(AlphaFamily(0.9, 2.1)),
     MultiRepState(HalfInt(1), 3, np.array([0.6, 0.8j])),
+    random_code(9, 9),
+    fidelity.max_fidelity_rotation(12)[1],
 ])
 def test_source_density_matches_block_average(code):
     rho = source_density(code)
     assert np.max(np.abs(rho.matrix - block_average_oracle(code))) < 1e-13
 
 
-def test_source_density_finer_grid_agrees():
-    code = alpha_code(AlphaFamily(0.7, 0.2))
-    a = source_density(code).matrix
-    b = source_density(code, theta_order=11, phi_count=9).matrix
-    assert np.max(np.abs(a - b)) < 1e-13
+@pytest.mark.parametrize("code", [random_code(9, 9), random_code(8, 4),
+                                  MultiRepState(HalfInt(1), 3, np.array([0.6, 0.8j]))])
+def test_exact_sphere_rows_are_per_point_states(code):
+    w, states, vecs = exact_sphere(code)
+    size = code.nspins + 2
+    assert w.shape == (size * size,) and states.shape == (size * size, code.dim)
+    assert np.sum(w) == pytest.approx(1.0, abs=1e-14)
+    gw, th, ph = sphere_grid(size, size)
+    assert np.array_equal(w, gw)
+    assert np.array_equal(vecs, grid_unit_vectors(th, ph))
+    assert np.max(np.abs(states - _block_amplitudes(code, th, ph).T)) <= 1e-14
 
 
-def test_source_density_rejects_coarse_grid():
-    with pytest.raises(ValueError):
-        source_density(coherent_code(4), theta_order=2)
-
-
-def test_exact_grid_minimum_is_n_plus_two():
-    assert exact_grid(3) == (5, 5)
-    assert exact_grid(3, 9, 7) == (9, 7)
-    for sizes in ((4, None), (None, 4)):
-        with pytest.raises(ValueError):
-            exact_grid(3, *sizes)
-    with pytest.raises(ValueError):
-        source_density(coherent_code(4), phi_count=4)  # N = 3 needs 5 azimuths
+@pytest.mark.parametrize("average", [
+    lambda **kw: source_density(coherent_code(4), **kw),
+    lambda **kw: fidelity.fidelity_quadrature(coherent_code(4), **kw),
+    lambda **kw: povm.quadrature_povm(HalfInt(0), 2, **kw),
+    lambda **kw: povm.povm_fidelity_exact(coherent_code(4), povm.octahedron_povm(), **kw),
+])
+def test_sphere_averages_take_no_grid_sizes(average):
+    for knob in ("theta_order", "phi_count"):
+        with pytest.raises(TypeError):
+            average(**{knob: 9})
 
 
 def test_density_matrix_validation():

@@ -161,8 +161,6 @@ def test_fidelity_quadrature_decoder_contracts():
     wrong_tower = coherent_code(4)
     with pytest.raises(ValueError):
         fidelity_quadrature(code, decoder=wrong_tower)
-    with pytest.raises(ValueError):
-        fidelity_quadrature(code, theta_order=2)
 
 
 COVARIANCE_CODES = {
@@ -184,7 +182,7 @@ def test_fidelity_quadrature_covariant_in_decoder_direction(name, monkeypatch):
     def no_grid(*args):
         raise AssertionError("a +z decoder must not build the sphere grid")
 
-    monkeypatch.setattr(fidelity, "sphere_grid", no_grid)
+    monkeypatch.setattr(fidelity, "exact_sphere", no_grid)
     assert fidelity_quadrature(code, decoder_direction=Direction(0.0, 1.3)) == fz
 
 
