@@ -130,134 +130,105 @@ class Check:
     detail: str
 
 
-def _residual(name: str, value: float, tol: float) -> Check:
-    return Check(name, value <= tol, f"residual {value:.3e} (tolerance {tol:.1e})")
-
-
-def _checks_fidelity_values() -> list[Check]:
-    closed = {
-        1: 2.0 / 3.0,
-        2: (3.0 + math.sqrt(3.0)) / 6.0,
-        3: (6.0 + math.sqrt(6.0)) / 10.0,
-        4: (5.0 + math.sqrt(15.0)) / 10.0,
-    }
-    printed = {5: 0.9114, 6: 0.9306, 7: 0.9429}
-    out = []
-    for n, want in closed.items():
-        got, _ = fidelity.max_fidelity_rotation(n)
-        out.append(_residual(f"fidelity_closed_n{n}", abs(got - want), 1e-12))
-    for n, want in printed.items():
-        got, _ = fidelity.max_fidelity_rotation(n)
-        out.append(_residual(f"fidelity_printed_n{n}", abs(got - want), 5e-5))
-    return out
-
-
-def _checks_routes(ns) -> list[Check]:
-    out = []
-    for n in ns:
-        f_eig, code = fidelity.max_fidelity_rotation(n)
-        f_poly = fidelity.max_fidelity_polynomial(n)
-        f_quad = fidelity.fidelity_quadrature(code)
-        out.append(_residual(f"routes_eigen_vs_poly_n{n}", abs(f_eig - f_poly), 1e-12))
-        out.append(_residual(f"routes_eigen_vs_quad_n{n}", abs(f_eig - f_quad), 1e-9))
-    return out
-
-
-def _checks_optimal(d_lo: int, d_hi: int) -> list[Check]:
-    out = []
-    for d in range(d_lo, d_hi + 1):
-        got = fidelity.fidelity_quadrature(coherent_code(d))
-        out.append(_residual(f"optimal_dim_d{d}", abs(got - fidelity.fidelity_optimal(d)), 1e-10))
-    return out
-
-
-def _checks_parallel() -> list[Check]:
-    worst = max(abs(fidelity.fidelity_parallel(n) - fidelity.fidelity_optimal(n + 1))
-                for n in range(1, 7))
-    return [_residual("parallel_is_coherent_case", worst, 1e-15)]
-
-
-def _checks_split_code() -> list[Check]:
-    want = (3.0 + math.sqrt(3.0)) / 6.0
-    values = [fidelity.fidelity_quadrature(alpha_code(AlphaFamily(math.pi / 4.0, beta)))
-              for beta in (0.0, 0.9, math.pi / 2.0, 2.5, math.pi, 5.1)]
-    worst = max(abs(v - want) for v in values)
-    spread = max(values) - min(values)
-    return [_residual("split_code_value", worst, 1e-12),
-            _residual("split_code_beta_independent", spread, 1e-12)]
-
-
-def _checks_identities(ns) -> list[Check]:
-    out = []
-    for n in ns:
-        dev = povm.check_identity(povm.quadrature_povm(minimal_sn(n), n))
-        out.append(_residual(f"identity_grid_n{n}", dev, 1e-10))
-    return out
-
-
-def _checks_fixed_povms() -> list[Check]:
-    out = [_residual("identity_pair", povm.check_identity(povm.von_neumann_pair(X_AXIS)), 1e-10),
-           _residual("identity_octahedron", povm.check_identity(povm.octahedron_povm()), 1e-10)]
-    got = povm.povm_fidelity_exact(coherent_code(4), povm.octahedron_povm())
-    out.append(_residual("octahedron_fidelity", abs(got - 0.8), 1e-12))
-    return out
-
-
 def _algebra_residual(x, y, z) -> float:
     """Largest entry of [x, y] - i z over the three cyclic commutators."""
     return max(float(np.max(np.abs(a @ b - b @ a - 1j * c)))
                for a, b, c in ((x, y, z), (y, z, x), (z, x, y)))
 
 
-def _checks_structure() -> list[Check]:
-    out = []
+def _claims(level: str):
+    """Yield the verify claims in report order; full adds the slow scans.
+
+    A numeric claim is (name, residual, tolerance) and holds when the residual
+    is at most the tolerance; a yes/no claim is (name, truth, detail).
+    """
+    def routes(ns):
+        for n in ns:
+            f_eig, code = fidelity.max_fidelity_rotation(n)
+            f_poly = fidelity.max_fidelity_polynomial(n)
+            f_quad = fidelity.fidelity_quadrature(code)
+            yield f"routes_eigen_vs_poly_n{n}", abs(f_eig - f_poly), 1e-12
+            yield f"routes_eigen_vs_quad_n{n}", abs(f_eig - f_quad), 1e-9
+
+    def optimal(ds):
+        for d in ds:
+            got = fidelity.fidelity_quadrature(coherent_code(d))
+            yield f"optimal_dim_d{d}", abs(got - fidelity.fidelity_optimal(d)), 1e-10
+
+    def identities(ns):
+        for n in ns:
+            dev = povm.check_identity(povm.quadrature_povm(minimal_sn(n), n))
+            yield f"identity_grid_n{n}", dev, 1e-10
+
+    closed = {
+        1: 2.0 / 3.0,
+        2: (3.0 + math.sqrt(3.0)) / 6.0,
+        3: (6.0 + math.sqrt(6.0)) / 10.0,
+        4: (5.0 + math.sqrt(15.0)) / 10.0,
+    }
+    for n, want in closed.items():
+        yield f"fidelity_closed_n{n}", abs(fidelity.max_fidelity_rotation(n)[0] - want), 1e-12
+    for n, want in {5: 0.9114, 6: 0.9306, 7: 0.9429}.items():
+        yield f"fidelity_printed_n{n}", abs(fidelity.max_fidelity_rotation(n)[0] - want), 5e-5
+    yield from routes(range(1, 7))
+    yield from optimal(range(2, 9))
+    worst = max(abs(fidelity.fidelity_parallel(n) - fidelity.fidelity_optimal(n + 1))
+                for n in range(1, 7))
+    yield "parallel_is_coherent_case", worst, 1e-15
+
+    values = [fidelity.fidelity_quadrature(alpha_code(AlphaFamily(math.pi / 4.0, beta)))
+              for beta in (0.0, 0.9, math.pi / 2.0, 2.5, math.pi, 5.1)]
+    yield "split_code_value", max(abs(v - closed[2]) for v in values), 1e-12
+    yield "split_code_beta_independent", max(values) - min(values), 1e-12
+
+    octahedron = povm.octahedron_povm()
+    yield "identity_pair", povm.check_identity(povm.von_neumann_pair(X_AXIS)), 1e-10
+    yield "identity_octahedron", povm.check_identity(octahedron), 1e-10
+    got = povm.povm_fidelity_exact(coherent_code(4), octahedron)
+    yield "octahedron_fidelity", abs(got - 0.8), 1e-12
+    yield from identities(range(1, 4))
+
     gx, gy, gz = peres_generators()
-    out.append(_residual("peres_algebra", _algebra_residual(gx, gy, gz), 1e-13))
+    yield "peres_algebra", _algebra_residual(gx, gy, gz), 1e-13
     casimir = gx @ gx + gy @ gy + gz @ gz - (15.0 / 4.0) * np.eye(4)
-    out.append(_residual("peres_casimir", float(np.max(np.abs(casimir))), 1e-13))
+    yield "peres_casimir", float(np.max(np.abs(casimir))), 1e-13
     for twice in (1, 2, 3, 8, 25):
-        out.append(_residual(f"spin_algebra_2s{twice}",
-                             _algebra_residual(*spin_operators(HalfInt(twice))), 1e-13))
-    return out
+        yield f"spin_algebra_2s{twice}", _algebra_residual(*spin_operators(HalfInt(twice))), 1e-13
 
-
-def _checks_overlaps() -> list[Check]:
     grid = np.linspace(-1.0, 1.0, 1001)
     top = np.array([overlap_sq_32(c, HalfInt(3)) for c in grid])
     mid = np.array([overlap_sq_32(c, HalfInt(1)) for c in grid])
     angles = np.arccos(grid)
     top_wigner = wigner_small_d(HalfInt(3), HalfInt(3), HalfInt(3), angles) ** 2
     mid_wigner = wigner_small_d(HalfInt(3), HalfInt(1), HalfInt(1), angles) ** 2
-    out = [
-        _residual("overlap_top_closed_form", float(np.max(np.abs(top - top_wigner))), 1e-12),
-        _residual("overlap_mid_closed_form", float(np.max(np.abs(mid - mid_wigner))), 1e-12),
-        Check("overlap_top_monotone", bool(np.all(np.diff(top) > 0.0)),
-              "strictly increasing on a 1001-point grid"),
-        Check("overlap_mid_nonmonotone", bool(np.any(np.diff(mid) < 0.0)),
-              "decreasing somewhere on a 1001-point grid"),
-        _residual("overlap_mid_zero_at_third", overlap_sq_32(1.0 / 3.0, HalfInt(1)), 1e-12),
+    yield "overlap_top_closed_form", float(np.max(np.abs(top - top_wigner))), 1e-12
+    yield "overlap_mid_closed_form", float(np.max(np.abs(mid - mid_wigner))), 1e-12
+    yield ("overlap_top_monotone", bool(np.all(np.diff(top) > 0.0)),
+           "strictly increasing on a 1001-point grid")
+    yield ("overlap_mid_nonmonotone", bool(np.any(np.diff(mid) < 0.0)),
+           "decreasing somewhere on a 1001-point grid")
+    yield "overlap_mid_zero_at_third", overlap_sq_32(1.0 / 3.0, HalfInt(1)), 1e-12
+    if level != "full":
+        return
+
+    yield from routes([*range(7, 13), 100, 200])
+    yield from optimal(range(9, 33))
+    # N = 16 (dimension 81) only: larger grids would lengthen every full run
+    yield from identities([*range(4, 7), 16])
+
+    entropies = [
+        ("qubit", coherent_code(2), 1.0),
+        ("qutrit", coherent_code(3), math.log2(3.0)),
+        ("two_qubit", coherent_code(4), 2.0),
+        ("split", alpha_code(AlphaFamily(math.pi / 4.0)), 1.0 + 0.5 * math.log2(3.0)),
     ]
-    return out
+    for name, code, want in entropies:
+        got = von_neumann_entropy(source_density(code))
+        yield f"source_entropy_{name}", abs(got - want), 1e-8
 
-
-def _checks_entropies() -> list[Check]:
-    targets = [
-        ("source_entropy_qubit", coherent_code(2), 1.0),
-        ("source_entropy_qutrit", coherent_code(3), math.log2(3.0)),
-        ("source_entropy_two_qubit", coherent_code(4), 2.0),
-        ("source_entropy_split", alpha_code(AlphaFamily(math.pi / 4.0)),
-         1.0 + 0.5 * math.log2(3.0)),
-    ]
-    return [_residual(name, abs(von_neumann_entropy(source_density(code)) - want), 1e-8)
-            for name, code, want in targets]
-
-
-def _checks_infogain() -> list[Check]:
-    out = []
     for n in (1, 2):
-        closed = infogain.info_gain_closed(n)
         quad = infogain.info_gain_quadrature(coherent_code(2 ** n))
-        out.append(_residual(f"infogain_quadrature_n{n}", abs(closed - quad), 1e-12))
+        yield f"infogain_quadrature_n{n}", abs(infogain.info_gain_closed(n) - quad), 1e-12
     # two-spin gain int q log2(q) dx/2 with q = (a x + b)^2, a = sqrt(3) cos(alpha), b = sin(alpha)
     # is [F(b + a) - F(b - a)] / a with F' = u^2 log2|u|, and b^2 log2(b^2) at a = 0
     F = lambda u: u ** 3 * (math.log2(abs(u) or 1.0) / 3.0 - 1.0 / (9.0 * math.log(2.0)))
@@ -266,40 +237,20 @@ def _checks_infogain() -> list[Check]:
         a, b = math.sqrt(3.0) * math.cos(alpha), math.sin(alpha)
         want = (F(b + a) - F(b - a)) / a if a > 1e-12 else b * b * math.log2(b * b)
         errs.append(abs(infogain.info_gain_quadrature(alpha_code(AlphaFamily(alpha))) - want))
-    return out + [_residual("infogain_two_spin_closed_form", max(errs), 1e-12)]
+    yield "infogain_two_spin_closed_form", max(errs), 1e-12
 
-
-def _checks_asymptotic() -> list[Check]:
     rows = fidelity.asymptotic_table(200)
     fids = [row[1] for row in rows]
-    monotone = all(b > a for a, b in zip(fids, fids[1:]))
-    xi_sq = bessel_j0_first_zero() ** 2
-    rel = abs(rows[-1][2] / xi_sq - 1.0)
-    return [Check("asymptotic_monotone", monotone, "fidelity strictly increasing to N=200"),
-            _residual("asymptotic_limit", rel, 0.03)]
+    yield ("asymptotic_monotone", all(b > a for a, b in zip(fids, fids[1:])),
+           "fidelity strictly increasing to N=200")
+    yield "asymptotic_limit", abs(rows[-1][2] / bessel_j0_first_zero() ** 2 - 1.0), 0.03
 
 
 def run_verify(level: str) -> list[Check]:
     """Cross-module invariant suite; full adds the slow scans."""
-    checks = []
-    checks += _checks_fidelity_values()
-    checks += _checks_routes(range(1, 7))
-    checks += _checks_optimal(2, 8)
-    checks += _checks_parallel()
-    checks += _checks_split_code()
-    checks += _checks_fixed_povms()
-    checks += _checks_identities(range(1, 4))
-    checks += _checks_structure()
-    checks += _checks_overlaps()
-    if level == "full":
-        checks += _checks_routes([*range(7, 13), 100, 200])
-        checks += _checks_optimal(9, 32)
-        # N = 16 (dimension 81) only: larger grids would lengthen every full run
-        checks += _checks_identities([*range(4, 7), 16])
-        checks += _checks_entropies()
-        checks += _checks_infogain()
-        checks += _checks_asymptotic()
-    return checks
+    return [Check(name, value, tol) if isinstance(tol, str) else
+            Check(name, value <= tol, f"residual {value:.3e} (tolerance {tol:.1e})")
+            for name, value, tol in _claims(level)]
 
 
 def cmd_verify(level: str, out: str | None) -> int:
@@ -309,6 +260,18 @@ def cmd_verify(level: str, out: str | None) -> int:
     lines.append(f"{len(checks)} checks, {len(checks) - len(failed)} passed, {len(failed)} failed")
     _write("\n".join(lines) + "\n", out)
     return 1 if failed else 0
+
+
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type for an integer in [lo, hi] (no upper end when hi is None)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(
+                f"must be >= {lo}" if hi is None else f"must lie in [{lo}, {hi}]")
+        return value
+    parse.__name__ = "int"  # so a non-integer reads "invalid int value: 'x'", as with type=int
+    return parse
 
 
 def _io_flags(p: argparse.ArgumentParser) -> None:
@@ -323,65 +286,50 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("table", help="best-fidelity table with benchmarks")
-    t.add_argument("--max-n", type=int, default=7, dest="max_n")
+    t.add_argument("--max-n", type=_int_in(1, 1000), default=7, dest="max_n")
     _io_flags(t)
+    t.set_defaults(run=lambda args: cmd_table(args.max_n, args.format, args.out))
 
     v = sub.add_parser("verify", help="cross-route invariant suite")
     v.add_argument("--level", choices=("fast", "full"), default="fast")
     v.add_argument("--out", default=None)
+    v.set_defaults(run=lambda args: cmd_verify(args.level, args.out))
 
     s = sub.add_parser("simulate", help="Monte Carlo decoding run")
-    s.add_argument("--n", type=int, default=1,
+    s.add_argument("--n", type=_int_in(1), default=1,
                    help=f"number of spins; --povm grid takes N <= {GRID_MAX_N}, since the "
                         "grid POVM's state array grows as N^4. The grid is sampled ring "
                         "first, about (N+1)(2N+4) + D operations plus the Wigner-d "
                         "columns per shot (D = tower dimension); the octahedron "
                         "computes all 6 outcome probabilities per shot")
     s.add_argument("--povm", choices=("grid", "octahedron"), default="grid")
-    s.add_argument("--shots", type=int, default=100000)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--shots", type=_int_in(1), default=100000)
+    s.add_argument("--seed", type=_int_in(0), default=0)
     _io_flags(s)
+
+    def simulate(args) -> int:
+        if args.povm == "grid" and args.n > GRID_MAX_N:
+            s.error(f"--povm grid takes --n up to {GRID_MAX_N}")
+        if args.povm == "octahedron" and args.n != 2:
+            s.error("--povm octahedron decodes the two-qubit coherent code; use --n 2")
+        return cmd_simulate(args.n, args.povm, args.shots, args.seed, args.format, args.out)
+    s.set_defaults(run=simulate)
 
     g = sub.add_parser("infogain", help="information-gain tables")
     g.add_argument("--mode", choices=("closed", "quadrature", "alpha-scan"), default="closed")
     _io_flags(g)
+    g.set_defaults(run=lambda args: cmd_infogain(args.mode, args.format, args.out))
 
     a = sub.add_parser("asymptotic", help="large-N scaling scan")
-    a.add_argument("--max-n", type=int, default=200, dest="max_n")
+    a.add_argument("--max-n", type=_int_in(10), default=200, dest="max_n")
     _io_flags(a)
+    a.set_defaults(run=lambda args: cmd_asymptotic(args.max_n, args.format, args.out))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "table":
-        if not 1 <= args.max_n <= 1000:
-            parser.error("--max-n must lie in [1, 1000]")
-        return cmd_table(args.max_n, args.format, args.out)
-    if args.command == "verify":
-        return cmd_verify(args.level, args.out)
-    if args.command == "simulate":
-        if args.n < 1:
-            parser.error("--n must be >= 1")
-        if args.shots < 1:
-            parser.error("--shots must be >= 1")
-        if args.seed < 0:
-            parser.error("--seed must be >= 0")
-        if args.povm == "grid" and args.n > GRID_MAX_N:
-            parser.error(f"--povm grid takes --n up to {GRID_MAX_N}")
-        if args.povm == "octahedron" and args.n != 2:
-            parser.error("--povm octahedron decodes the two-qubit coherent code; use --n 2")
-        return cmd_simulate(args.n, args.povm, args.shots, args.seed,
-                            args.format, args.out)
-    if args.command == "infogain":
-        return cmd_infogain(args.mode, args.format, args.out)
-    if args.command == "asymptotic":
-        if args.max_n < 10:
-            parser.error("--max-n must be >= 10")
-        return cmd_asymptotic(args.max_n, args.format, args.out)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    args = build_parser().parse_args(argv)
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -87,8 +87,17 @@ def test_verify_fast_green(capsys):
     assert code == 0
     lines = out.splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
-    assert lines[-1].endswith("0 failed")
-    assert len(lines) > 40
+    assert lines[-1] == "47 checks, 47 passed, 0 failed"
+    # the claim sequence is pinned: none dropped, renamed or reordered between levels
+    fast = [c.name for c in cli.run_verify("fast")]
+    full = [c.name for c in cli.run_verify("full")]
+    assert [line.split()[1].rstrip(":") for line in lines[:-1]] == fast
+    assert len(fast) == 47 and len(full) == 100
+    assert len(set(full)) == len(full)
+    assert full[:47] == fast
+    assert fast[0] == full[0] == "fidelity_closed_n1"
+    assert fast[-1] == "overlap_mid_zero_at_third"
+    assert full[-1] == "asymptotic_limit"
 
 
 def test_verify_out_file(tmp_path, capsys):
@@ -110,6 +119,22 @@ def test_verify_detects_corrupted_matrix(monkeypatch, capsys):
     assert code == 1
     assert "FAIL fidelity_closed_n2" in out
     assert "0 failed" not in out
+
+
+def test_verify_reports_failed_yes_no_claim(monkeypatch, capsys):
+    real = fidelity.asymptotic_table
+
+    def not_monotone(max_n):
+        rows = real(max_n)
+        (n0, f0, d0), (n1, f1, d1) = rows[:2]
+        return [(n0, f1, d0), (n1, f0, d1), *rows[2:]]
+
+    monkeypatch.setattr(fidelity, "asymptotic_table", not_monotone)
+    code, out = run_cli(["verify", "--level", "full"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert "FAIL asymptotic_monotone: fidelity strictly increasing to N=200" in lines
+    assert lines[-1] == "100 checks, 99 passed, 1 failed"
 
 
 def test_simulate_grid_row(capsys):
@@ -246,6 +271,7 @@ def test_asymptotic_output(capsys):
     ["simulate", "--seed", "-1"],
     ["table", "--max-n", "3", "--out", os.path.join(os.devnull, "x.csv")],
     ["verify", "--out", os.curdir],
+    ["simulate", "--n", "x"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as err:
@@ -255,3 +281,8 @@ def test_usage_errors_exit_two(argv, capsys):
     assert captured.out == ""
     if "--out" in argv:  # a file that cannot be written is reported in one line
         assert len(captured.err.splitlines()) == 1 and "cannot write" in captured.err
+    elif argv and argv[0] in ("table", "verify", "simulate", "infogain", "asymptotic"):
+        # an error in a subcommand's arguments shows that subcommand's usage
+        assert captured.err.startswith(f"usage: spinlab {argv[0]} ")
+    if "x" in argv:
+        assert "invalid int value: 'x'" in captured.err
