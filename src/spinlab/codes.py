@@ -51,7 +51,7 @@ class MultiRepState:
         blocks = (self.nspins - sn.twice) // 2 + 1
         if coeffs.shape != (blocks,):
             raise ValueError(f"need {blocks} coefficients for N={self.nspins}, sn={sn!r}")
-        if abs(np.linalg.norm(coeffs) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(coeffs) - 1.0) <= 1e-12:
             raise ValueError("coefficients must be normalized")
         object.__setattr__(self, "coeffs", coeffs)
 

@@ -168,6 +168,23 @@ def test_simulate_octahedron_row(capsys):
     assert float(rows[0]["f_exact"]) == pytest.approx(0.8, abs=1e-12)
 
 
+@pytest.mark.parametrize("args, row", [
+    ("--n 12 --shots 100000 --seed 0",
+     "12,grid,100000,0,0.974425879538416,0.000133955519399881,0.974553956171366,"
+     "-0.956113145047502"),
+    ("--n 2 --povm octahedron --shots 1000000 --seed 7",
+     "2,octahedron,1000000,7,0.799855183927221,0.000163241168169773,0.8,-0.887129603411193"),
+    ("--n 40 --shots 20000 --seed 3",
+     "40,grid,20000,3,0.996850814143281,5.87318804202078e-05,0.996876085310183,"
+     "-0.430280228062791"),
+])
+def test_simulate_seeded_rows_pinned(args, row, capsys):
+    # any change in the draw order, the outcome scan or the score moves these bytes
+    code, out = run_cli(["simulate", *args.split()], capsys)
+    assert code == 0
+    assert out.splitlines() == ["n,povm,shots,seed,f_hat,stderr,f_exact,z_score", row]
+
+
 def test_simulate_repeat_seed_identical(capsys):
     args = ["simulate", "--n", "1", "--shots", "10", "--seed", "42"]
     _, first = run_cli(args, capsys)

@@ -25,6 +25,8 @@ def test_multirep_state_validation():
         MultiRepState(HalfInt(5), 2, np.array([1.0]))  # sn > N/2
     with pytest.raises(ValueError):
         MultiRepState(HalfInt(0), 0, np.array([1.0]))
+    with pytest.raises(ValueError):
+        MultiRepState(HalfInt(3), 3, np.array([math.nan]))  # NaN norm
 
 
 def test_multirep_state_tower_layout():

@@ -189,7 +189,7 @@ def test_simulate_sub_blocks_match_whole_chunk(monkeypatch):
     for p in (ring, _without_layout(ring)):
         whole = simulate(code, p, 5000, 9)
         with monkeypatch.context() as patch:
-            # 777 shots per sub-block on the generic path, 1214 on the ring path
+            # 626 shots per sub-block on the generic path, 1387 on the ring path
             patch.setattr(povm, "_BUDGET", 25 * 777)
             split = simulate(code, p, 5000, 9)
             assert split == pytest.approx(whole, abs=1e-12)
@@ -210,7 +210,7 @@ def test_ring_path_draws_what_the_generic_path_draws(nspins, monkeypatch):
     _, code = max_fidelity_rotation(nspins)
     p = quadrature_povm(minimal_sn(nspins), nspins)
     want = simulate(code, _without_layout(p), 3000, nspins)
-    monkeypatch.setattr(povm, "_draw_outcomes", _forbidden)
+    monkeypatch.setattr(povm, "_generic_sampler", _forbidden)
     assert simulate(code, p, 3000, nspins) == want
 
 
@@ -218,8 +218,28 @@ def test_ring_path_with_complex_code_on_finer_grid(monkeypatch):
     code = alpha_code(AlphaFamily(0.6, 1.1))
     p = quadrature_povm(HalfInt(0), 2)
     want = simulate(code, _without_layout(p), 20_000, 4)
-    monkeypatch.setattr(povm, "_draw_outcomes", _forbidden)
+    monkeypatch.setattr(povm, "_generic_sampler", _forbidden)
     assert simulate(code, p, 20_000, 4) == want
+
+
+@pytest.mark.parametrize("nspins", [3, 5, 8])
+def test_ring_path_with_complex_codes_and_ring_states(nspins, monkeypatch):
+    # a phase per tower component keeps the ring layout and the identity
+    # resolution but makes the ring states complex, without the m <-> -m
+    # symmetry of the grid decoder; with a complex multi-block code the
+    # ring tables must then carry every phase exactly
+    rng = np.random.default_rng(nspins)
+    sn = minimal_sn(nspins)
+    blocks = (nspins - sn.twice) // 2 + 1
+    c = rng.normal(size=blocks) * np.exp(2j * math.pi * rng.random(blocks))
+    code = MultiRepState(sn, nspins, c / np.linalg.norm(c))
+    grid = quadrature_povm(sn, nspins)
+    p = FinitePovm(grid.dim, grid.weights,
+                   grid.states * np.exp(2j * math.pi * rng.random(grid.dim)),
+                   grid.guesses, grid.layout)
+    want = simulate(code, _without_layout(p), 20_000, 2)
+    monkeypatch.setattr(povm, "_generic_sampler", _forbidden)
+    assert simulate(code, p, 20_000, 2) == want
 
 
 def test_ring_path_needs_the_codes_own_tower(monkeypatch):
@@ -238,7 +258,7 @@ def test_simulate_rejects_scaled_ring(monkeypatch):
     weights = p.weights.copy()
     weights[5:10] *= 1.5  # all of ring 1: the layout holds, the identity does not
     scaled = FinitePovm(p.dim, weights, p.states, p.guesses, p.layout)
-    monkeypatch.setattr(povm, "_draw_outcomes", _forbidden)
+    monkeypatch.setattr(povm, "_generic_sampler", _forbidden)
     with pytest.raises(RuntimeError, match="sum to 1"):
         simulate(code, scaled, 1000, 0)
 
@@ -259,6 +279,60 @@ def test_simulate_checks_chosen_ring_against_its_fit(monkeypatch):
     monkeypatch.setattr(povm.chebyshev, "chebinterpolate", shifted)
     with pytest.raises(RuntimeError, match="fitted probability"):
         simulate(code, p, 5000, 0)
+
+
+def test_simulate_rejects_nan_code():
+    # the code constructor refuses NaN; a NaN written in afterwards must
+    # still stop both sampling paths instead of returning a number
+    octa_code = coherent_code(4)
+    octa_code.coeffs[0] = math.nan
+    with pytest.raises(RuntimeError, match="sum to 1"):
+        simulate(octa_code, octahedron_povm(), 1000, 0)
+    _, grid_code = max_fidelity_rotation(3)
+    grid_code.coeffs[1] = math.nan
+    with pytest.raises(RuntimeError, match="sum to 1"):
+        simulate(grid_code, quadrature_povm(minimal_sn(3), 3), 1000, 0)
+
+
+def test_simulate_ring_check_catches_nan(monkeypatch):
+    # NaN phases leave the fitted ring probabilities intact, so only the
+    # per-ring comparison can notice them
+    _, code = max_fidelity_rotation(3)
+    p = quadrature_povm(minimal_sn(3), 3)
+    monkeypatch.setattr(povm, "_slot_phases",
+                        lambda n, turn: np.full((n + 1, turn.size), math.nan))
+    with pytest.raises(RuntimeError, match="fitted probability"):
+        simulate(code, p, 1000, 0)
+
+
+def _random_povm(dim, count, seed):
+    """A rank-one POVM from `count` random complex vectors, made to resolve
+    the identity by G^(-1/2), with random unit guesses; no ring layout."""
+    rng = np.random.default_rng(seed)
+    vecs = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+    vals, basis = np.linalg.eigh(vecs.T @ vecs.conj())
+    rows = vecs @ ((basis * vals ** -0.5) @ basis.conj().T).T
+    weights = np.sum(np.abs(rows) ** 2, axis=1)
+    guesses = rng.normal(size=(count, 3))
+    return FinitePovm(dim, weights, rows / np.sqrt(weights)[:, None],
+                      guesses / np.linalg.norm(guesses, axis=1)[:, None])
+
+
+def test_generic_path_draws_the_reference_outcomes():
+    # reference: the per-shot amplitudes of _block_amplitudes at arccos(x)
+    rng = np.random.default_rng(5)
+    c = rng.normal(size=3) + 1j * rng.normal(size=3)
+    code = MultiRepState(HalfInt(1), 5, c / np.linalg.norm(c))          # spins 5/2, 3/2, 1/2
+    p = _random_povm(code.dim, 17, 6)
+    assert p.layout is None and check_identity(p) < 1e-12
+    x = np.concatenate([[-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, 4997)])
+    ph = rng.uniform(0.0, 2.0 * math.pi, x.size)
+    u = rng.random(x.size)
+    amp = _block_amplitudes(code, np.arccos(x), ph)
+    probs = p.weights[:, None] * np.abs(p.states.conj() @ amp) ** 2
+    want = np.minimum((np.cumsum(probs, axis=0) < u).sum(axis=0), p.weights.size - 1)
+    got = povm._generic_sampler(code, p)(x, np.exp(1j * ph), u)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

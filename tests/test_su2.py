@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
+from spinlab import su2
 from spinlab.su2 import (Direction, HalfInt, SpinKet, X_AXIS, Y_AXIS, Z_AXIS,
                          entanglement_entropy, overlap_sq_32, peres_generators,
                          projections, rotate_to, spin_operators, wigner_small_d)
@@ -140,6 +141,47 @@ def test_wigner_columns_unitary_at_large_spin(twice_s):
         nxt = rotate_to(s, HalfInt(mp.twice + 2), n).amps
         assert abs(np.vdot(col, col) - 1.0) < 1e-13
         assert abs(np.vdot(nxt, col)) < 1e-13
+
+
+@given(st.integers(0, 128), st.data(),
+       st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20))
+def test_half_angle_kernel_matches_d_column(twice_s, data, xs):
+    # the sampler's trig-free columns against the eigenbasis kernel at arccos(x)
+    twice_mp = data.draw(st.sampled_from(range(-twice_s, twice_s + 1, 2)))
+    x = np.array([-1.0, 1.0, *xs])
+    n = twice_s // 2 + 1
+    terms = su2._half_angle_terms(x, twice_s)
+    assert terms.shape == (2 * n, x.size)
+    want = su2._d_column(HalfInt(twice_s), HalfInt(twice_mp), np.arccos(x))
+    assert np.max(np.abs(su2._d_fourier(twice_s, twice_mp) @ terms - want)) < 1e-13
+    # a lower spin of the same parity reads the leading terms of each half
+    if twice_s >= 2:
+        low = twice_s - 2
+        k = low // 2 + 1
+        got = su2._d_fourier(low, low % 2) @ np.concatenate([terms[:k], terms[n:n + k]])
+        want = su2._d_column(HalfInt(low), HalfInt(low % 2), np.arccos(x))
+        assert np.max(np.abs(got - want)) < 1e-13
+
+
+@pytest.mark.parametrize("fault", ["eigenvalue", "norm"])
+def test_sy_eigenbasis_guard_raises(fault, monkeypatch):
+    eigh = np.linalg.eigh
+
+    def faulty(a):
+        lam, vecs = eigh(a)
+        if fault == "eigenvalue":
+            return lam + 2e-9, vecs
+        return lam, vecs * (1.0 + 1e-11)
+
+    su2._sy_eigenbasis.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigh", faulty)
+    try:
+        with pytest.raises(RuntimeError, match="eigenbasis"):
+            su2._sy_eigenbasis(7)
+    finally:
+        monkeypatch.undo()
+        su2._sy_eigenbasis.cache_clear()
+    assert np.allclose(su2._sy_eigenbasis(7)[0], np.arange(-7, 8, 2) / 2.0)
 
 
 def test_wigner_small_d_scalar_and_shape():
