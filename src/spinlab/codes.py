@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .su2 import Direction, HalfInt, _d_column, _projection_values, wigner_small_d
+from .su2 import Direction, HalfInt, _d_column, _d_diagonal_cosines, _projection_values
 
 # angles per Wigner-kernel call: kernel temporaries as large as a whole block
 # stay resident in the heap after use and raise peak memory
@@ -75,11 +75,11 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
+        if not np.max(np.abs(m - m.conj().T)) <= 1e-10:
             raise ValueError("matrix must be Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-10:
+        if not abs(np.trace(m).real - 1.0) <= 1e-10:
             raise ValueError("trace must be 1")
-        if float(np.linalg.eigvalsh(m)[0]) < -1e-10:
+        if not float(np.linalg.eigvalsh(m)[0]) >= -1e-10:
             raise ValueError("matrix must be positive semidefinite")
         object.__setattr__(self, "matrix", m)
 
@@ -145,12 +145,25 @@ def _axial_overlap(a: MultiRepState, b: MultiRepState, thetas: np.ndarray) -> np
     """Overlap <B(z)|A(n)> at polar angles thetas and azimuth 0, shape (npoints,).
 
     Along z the decoder B has only the |S, sn> components b_S, so the
-    overlap is sum_S conj(b_S) a_S d^S_{sn,sn}(theta): one Wigner-d row
-    per block. At azimuth phi it gains the common phase e^{-i sn phi} only.
+    overlap is sum_S conj(b_S) a_S d^S_{sn,sn}(theta). Every block of a
+    tower has the parity of 2S = N, so each block's cosine series
+    (:func:`spinlab.su2._d_diagonal_cosines`) reads the leading harmonics
+    of the top block's: the tower sums into one series of N // 2 + 1
+    coefficients, evaluated once per angle. The result is real when the
+    summed coefficients are. At azimuth phi the overlap gains the common
+    phase e^{-i sn phi} only.
     """
-    out = np.zeros(thetas.size, dtype=complex)
+    coef = np.zeros(a.nspins // 2 + 1, dtype=complex)
     for a_s, b_s, s in zip(a.coeffs, b.coeffs, a.spins):
-        out += (b_s.conjugate() * a_s) * wigner_small_d(s, a.sn, a.sn, thetas)
+        c = _d_diagonal_cosines(s.twice, a.sn.twice)
+        coef[:c.size] += (b_s.conjugate() * a_s) * c
+    if not coef.imag.any():
+        coef = coef.real
+    half_k = np.arange(coef.size) + (a.nspins % 2) / 2.0  # k_i / 2 of the series
+    out = np.empty(thetas.size, dtype=coef.dtype)
+    for lo in range(0, thetas.size, _KERNEL_POINTS):
+        part = slice(lo, lo + _KERNEL_POINTS)
+        out[part] = coef @ np.cos(np.multiply.outer(half_k, thetas[part]))
     return out
 
 

@@ -101,6 +101,13 @@ def fidelity_quadrature(code: MultiRepState, decoder: MultiRepState | None = Non
 
         D * sum_j (w_j / 2) (1 + x_j)/2 |sum_S conj(b_S) a_S d^S_{sn,sn}(arccos x_j)|^2.
 
+    The overlap is one cosine series for the whole tower
+    (:func:`spinlab.codes._axial_overlap`), built from one tridiagonal
+    eigenvector per block, so this path costs O(N^2) time and memory; it
+    shares no code with the eigen and polynomial routes. Its terms reach
+    D near x = 1, so its rounding grows as D eps: about 40 D eps at
+    N = 1000.
+
     Any other decoder direction keeps the whole grid over the sphere, whose
     agreement with the +z value is the covariance cross-check.
     """

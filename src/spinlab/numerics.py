@@ -35,7 +35,7 @@ class Quadrature1D:
     Attributes
     ----------
     nodes : ndarray
-        Strictly increasing abscissas.
+        Strictly increasing abscissas in [-1, 1].
     weights : ndarray
         Positive weights; for a Gauss-Legendre rule they sum to 2.
     """
@@ -48,9 +48,11 @@ class Quadrature1D:
         weights = np.array(self.weights, dtype=float)
         if nodes.ndim != 1 or nodes.shape != weights.shape:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
-        if np.any(np.diff(nodes) <= 0.0):
+        if not np.all(np.abs(nodes) <= 1.0):
+            raise ValueError("nodes must lie in [-1, 1]")
+        if not np.all(np.diff(nodes) > 0.0):
             raise ValueError("nodes must be strictly increasing")
-        if np.any(weights <= 0.0):
+        if not np.all(weights > 0.0):
             raise ValueError("weights must be positive")
         nodes.setflags(write=False)
         weights.setflags(write=False)
@@ -311,7 +313,7 @@ def hermitian_eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")
     dev = float(np.max(np.abs(h - h.conj().T)))
-    if dev > 1e-10:
+    if not dev <= 1e-10:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     vals, vecs = np.linalg.eigh(h)
     return vals, vecs

@@ -144,7 +144,7 @@ class SpinKet:
         amps = np.asarray(self.amps, dtype=complex)
         if amps.shape != (spin.twice + 1,):
             raise ValueError("amplitude count must be 2S + 1")
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(amps) - 1.0) <= 1e-12:
             raise ValueError("state must be normalized")
         object.__setattr__(self, "amps", amps)
 
@@ -158,10 +158,11 @@ def _projection_values(s: HalfInt) -> np.ndarray:
     return np.arange(s.twice, -s.twice - 1, -2) / 2.0
 
 
-# room for every spin of a 200-spin tower (2S = 0, 2, ..., 200) next to the
-# odd spins below it: `verify --level full` cycles through about 170, and a
-# smaller LRU cache evicts each entry before its next use
-@lru_cache(maxsize=256)
+# sphere grids and sampling tables read one entry per spin of a tower: the
+# largest grid POVM that `simulate` takes (N = 64) reads 33, each twice (rows,
+# then tables), and `verify --level full` and each benchmark workload read at
+# most 14; an entry of 2S <= 64 takes at most 68 kB
+@lru_cache(maxsize=64)
 def _sy_eigenbasis(twice: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvector columns of S_y for spin twice/2, frozen and shared.
 
@@ -180,6 +181,48 @@ def _sy_eigenbasis(twice: int) -> tuple[np.ndarray, np.ndarray]:
     lam.setflags(write=False)
     vecs.setflags(write=False)
     return lam, vecs
+
+
+# one vector of floor(S) + 1 floats per (spin, projection): a 1000-spin tower
+# reads 501 of them, 1 MB in all
+@lru_cache(maxsize=1024)
+def _d_diagonal_cosines(twice: int, twice_m: int) -> np.ndarray:
+    """d^S_{m,m} as a cosine series, frozen and shared: c of length floor(S) + 1 with
+
+        d^S_{m,m}(theta) = sum_i c[i] cos(k_i theta / 2),  k_i = 2S mod 2 + 2i,
+
+    for twice = 2S and twice_m = 2m. With S_y = V diag(lam) V^dagger,
+    d^S_{m,m}(theta) = sum_lam w_lam cos(lam theta), w_lam = |V[m, lam]|^2
+    (the sines cancel since w_lam = w_-lam), and c[i] folds the pair
+    lam = +-k_i/2. A quarter turn about x takes S_y to S_z and S_z to -S_y,
+    so w_lam = |<S,lam|u>|^2 for the eigenvector u of S_y at eigenvalue -m;
+    the one at m carries the same weights mirrored, lam -> -lam, which the
+    fold cannot tell apart. After the similarity diag(i^k), S_y is the real
+    tridiagonal matrix with zero diagonal and off-diagonals
+    sqrt(S(S+1) - m'(m'+1))/2, whose eigenvalue m has ascending index S + m.
+    LAPACK's bisection and inverse iteration (scipy.linalg.eigh_tridiagonal)
+    give that one vector in O(S), with no dense S_y eigenbasis.
+
+    Raises RuntimeError unless the eigenvalue is within 1e-9 of m and the
+    weights sum to 1 within 1e-12.
+    """
+    from scipy import linalg  # here, not at the top: its import takes about 80 ms
+
+    mp = np.arange(-twice, twice, 2)  # 2m' for m' = -S, ..., S - 1
+    off = np.sqrt((twice - mp) * (twice + mp + 2.0)) / 4.0
+    index = (twice + twice_m) // 2
+    lam, vec = linalg.eigh_tridiagonal(np.zeros(twice + 1), off, select="i",
+                                       select_range=(index, index))
+    w = vec[:, 0] ** 2
+    lam_err = abs(float(lam[0]) - twice_m / 2.0)
+    norm_err = abs(float(np.sum(w)) - 1.0)
+    if not (lam_err <= 1e-9 and norm_err <= 1e-12):
+        raise RuntimeError(
+            f"S_y eigenvector for 2S = {twice}, 2m = {twice_m} is off: eigenvalue by "
+            f"{lam_err:.3e}, weights sum to 1 by {norm_err:.3e}")
+    c = np.bincount(np.abs(np.arange(-twice, twice + 1, 2)) // 2, weights=w)
+    c.setflags(write=False)
+    return c
 
 
 def _d_combination(lam: np.ndarray, w: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -355,7 +398,7 @@ def entanglement_entropy(state) -> float:
     psi = np.asarray(state, dtype=complex)
     if psi.shape != (4,):
         raise ValueError("state must be a 4-component vector")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:
         raise ValueError("state must be normalized")
     mat = psi.reshape(2, 2)
     return numerics.spectral_entropy(mat @ mat.conj().T)

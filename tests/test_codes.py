@@ -222,6 +222,8 @@ def test_density_matrix_validation():
         DensityMatrix(np.eye(2))  # trace 2
     with pytest.raises(ValueError):
         DensityMatrix(np.diag([2.0, -1.0]))  # negative eigenvalue
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityMatrix(np.array([[math.nan, 0.0], [0.0, 0.5]]))
 
 
 def test_von_neumann_entropy_reference_points():

@@ -75,6 +75,10 @@ def test_quadrature1d_validation():
         Quadrature1D([0.0, 1.0], [1.0, -1.0])
     with pytest.raises(ValueError):
         Quadrature1D([0.0, 1.0], [1.0])
+    for nodes, weights in [([math.nan, 0.5], [1.0, 1.0]), ([math.nan], [1.0]),
+                           ([0.0, 0.5], [1.0, math.nan]), ([0.0, 1.5], [1.0, 1.0])]:
+        with pytest.raises(ValueError):
+            Quadrature1D(nodes, weights)
 
 
 @pytest.mark.parametrize("l,coeffs", sorted(LEGENDRE_COEFFS.items()))
@@ -232,3 +236,5 @@ def test_hermitian_eigensystem_validation():
         hermitian_eigensystem(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        hermitian_eigensystem(np.array([[math.nan, 0.0], [0.0, 1.0]]))

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from spinlab import su2
@@ -184,6 +185,50 @@ def test_sy_eigenbasis_guard_raises(fault, monkeypatch):
     assert np.allclose(su2._sy_eigenbasis(7)[0], np.arange(-7, 8, 2) / 2.0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 401), st.data(),
+       st.lists(st.floats(0.0, math.pi), min_size=1, max_size=20))
+def test_diagonal_cosine_series_matches_wigner_small_d(twice_s, data, thetas):
+    # the +z quadrature's series against the dense eigenbasis kernel, both parities
+    twice_m = data.draw(st.sampled_from(range(-twice_s, twice_s + 1, 2)))
+    theta = np.array([0.0, math.pi, *thetas])
+    c = su2._d_diagonal_cosines(twice_s, twice_m)
+    assert c.shape == (twice_s // 2 + 1,)
+    half_k = np.arange(c.size) + (twice_s % 2) / 2.0
+    got = c @ np.cos(np.multiply.outer(half_k, theta))
+    want = wigner_small_d(HalfInt(twice_s), HalfInt(twice_m), HalfInt(twice_m), theta)
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+@pytest.mark.parametrize("fault", ["eigenvalue", "norm"])
+def test_diagonal_cosines_guard_raises(fault, monkeypatch):
+    solve = scipy.linalg.eigh_tridiagonal
+
+    def faulty(*args, **kwargs):
+        lam, vec = solve(*args, **kwargs)
+        if fault == "eigenvalue":
+            return lam + 2e-9, vec
+        return lam, vec * (1.0 + 1e-12)
+
+    su2._d_diagonal_cosines.cache_clear()
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", faulty)
+    try:
+        with pytest.raises(RuntimeError, match="eigenvector"):
+            su2._d_diagonal_cosines(7, 1)
+    finally:
+        monkeypatch.undo()
+        su2._d_diagonal_cosines.cache_clear()
+    assert su2._d_diagonal_cosines(7, 1).sum() == pytest.approx(1.0, abs=1e-14)
+
+
+def test_diagonal_cosines_are_read_only():
+    c = su2._d_diagonal_cosines(9, 1)
+    assert c is su2._d_diagonal_cosines(9, 1)
+    assert not c.flags.writeable
+    with pytest.raises(ValueError):
+        c[0] = 0.0
+
+
 def test_wigner_small_d_scalar_and_shape():
     out = wigner_small_d(HalfInt(2), HalfInt(0), HalfInt(0), 0.5)
     assert isinstance(out, float)
@@ -233,6 +278,8 @@ def test_spinket_validation():
         SpinKet(HalfInt(1), np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         SpinKet(HalfInt(1), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="normalized"):
+        SpinKet(HalfInt(1), np.array([math.nan, 0.0]))
 
 
 @pytest.mark.parametrize("twice_s", [1, 2, 3, 10, 25])
@@ -289,6 +336,8 @@ def test_entanglement_entropy_validation():
         entanglement_entropy(np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         entanglement_entropy(np.array([1.0, 1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="normalized"):
+        entanglement_entropy(np.array([math.nan, 0.0, 0.0, 0.0]))
 
 
 COSINES = np.linspace(-1.0, 1.0, 1001)
