@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .su2 import Direction, HalfInt, _d_column, _d_diagonal_cosines, _projection_values
+from .su2 import (Direction, HalfInt, _d_diagonal_cosines, _d_fourier, _half_angle_trig,
+                  _projection_values)
 
-# angles per Wigner-kernel call: kernel temporaries as large as a whole block
-# stay resident in the heap after use and raise peak memory
+# angles per cosine-series call of the +z overlap: temporaries of N // 2 + 1
+# rows by all angles stay resident in the heap after use and raise peak memory
 _KERNEL_POINTS = 1024
 
 
@@ -125,19 +126,45 @@ def alpha_code(f: AlphaFamily) -> MultiRepState:
                                    math.sin(f.alpha) * np.exp(1j * f.beta)]))
 
 
-def _block_amplitudes(a: MultiRepState, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Amplitude matrix of the encoded states, shape (dim, npoints)."""
-    out = np.empty((a.dim, thetas.size), dtype=complex)
+def _tower_kernel(code: MultiRepState) -> tuple[np.ndarray, list[tuple[slice, slice]]]:
+    """Column sn of every block's d^S as one real table, and where each block sits.
+
+    Returns (table, blocks). table, shape (D, 2n) with n = N // 2 + 1,
+    stacks the :func:`spinlab.su2._d_fourier` table of each block like the
+    code's components, zero past the block's own spin, so that table times
+    the half-angle harmonics of spin N/2 (:func:`spinlab.su2._half_angle_trig`
+    of theta, or :func:`spinlab.su2._half_angle_terms` of cos(theta)) gives
+    every block's d-column at once. blocks lists, per block S, the slice of
+    its rows among the D components and the slice of the N + 1 projection
+    slots m = N/2, ..., -N/2 that its projections S, ..., -S fill.
+    """
+    n = code.nspins // 2 + 1
+    table = np.zeros((code.dim, 2 * n))
+    blocks = []
     row = 0
-    for coeff, s in zip(a.coeffs, a.spins):
-        block = out[row:row + s.twice + 1]
-        np.multiply.outer(-1j * _projection_values(s), phis, out=block)
-        np.exp(block, out=block)
-        for lo in range(0, thetas.size, _KERNEL_POINTS):
-            part = slice(lo, lo + _KERNEL_POINTS)
-            block[:, part] *= _d_column(s, a.sn, thetas[part])
-        block *= coeff
+    for s in code.spins:
+        rows = slice(row, row + s.twice + 1)
+        first = (code.nspins - s.twice) // 2
+        blocks.append((rows, slice(first, first + s.twice + 1)))
+        f = _d_fourier(s.twice, code.sn.twice)
+        k = s.twice // 2 + 1
+        table[rows, :k] = f[:, :k]
+        table[rows, n:n + k] = f[:, k:]
         row += s.twice + 1
+    return table, blocks
+
+
+def _block_amplitudes(a: MultiRepState, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Amplitude matrix of the encoded states, shape (dim, npoints): the tower's
+    d-columns from :func:`_tower_kernel` at once, times e^{-i m phi} per
+    projection slot and each block's coefficient."""
+    table, blocks = _tower_kernel(a)
+    d = table @ _half_angle_trig(thetas, a.nspins)
+    phases = np.exp(np.multiply.outer(-1j * _projection_values(HalfInt(a.nspins)), phis))
+    out = np.empty(d.shape, dtype=complex)
+    for coeff, (rows, slots) in zip(a.coeffs, blocks):
+        np.multiply(phases[slots], d[rows], out=out[rows])
+        out[rows] *= coeff
     return out
 
 

@@ -117,7 +117,7 @@ def legendre_eval(l: int, x):
     """Evaluate the Legendre polynomial P_l at x (scalar or ndarray)."""
     if l < 0:
         raise ValueError("degree must be nonnegative")
-    return _eval_with_derivative("legendre", l, x)[0]
+    return _eval_with_derivative(_three_terms("legendre", l), x)[0]
 
 
 def jacobi01_eval(l: int, x):
@@ -128,24 +128,24 @@ def jacobi01_eval(l: int, x):
     """
     if l < 0:
         raise ValueError("degree must be nonnegative")
-    return _eval_with_derivative("jacobi01", l, x)[0]
+    return _eval_with_derivative(_three_terms("jacobi01", l), x)[0]
 
 
-def _three_term(kind: str, k: int) -> tuple[float, float, float]:
-    """Coefficients (a, b, c) of p_k = (a x + b) p_{k-1} - c p_{k-2} for the family."""
+def _three_terms(kind: str, l: int) -> list[tuple[float, float, float]]:
+    """Coefficients (a, b, c) of p_k = (a x + b) p_{k-1} - c p_{k-2}, k = 1, ..., l."""
     if kind == "legendre":
-        return (2 * k - 1) / k, 0.0, (k - 1) / k
-    den = (k + 1) * (2 * k - 1)
-    return (2 * k + 1) * (2 * k - 1) / den, -1.0 / den, (k - 1) * (2 * k + 1) / den
+        return [((2 * k - 1) / k, 0.0, (k - 1) / k) for k in range(1, l + 1)]
+    return [((2 * k + 1) * (2 * k - 1) / den, -1.0 / den, (k - 1) * (2 * k + 1) / den)
+            for k in range(1, l + 1) for den in [(k + 1) * (2 * k - 1)]]
 
 
-def _eval_with_derivative(kind: str, l: int, x):
-    """Value and first derivative of the degree-l polynomial of the family, elementwise in x."""
+def _eval_with_derivative(terms: list[tuple[float, float, float]], x):
+    """Value and first derivative, elementwise in x, of the polynomial that the
+    recurrence coefficients of :func:`_three_terms` build up to their last degree."""
     zero = x * 0.0
     p_prev, p = zero, zero + 1.0
     d_prev, d = zero, zero
-    for k in range(1, l + 1):
-        a, b, c = _three_term(kind, k)
+    for a, b, c in terms:
         slope = a * x + b
         p, p_prev, d, d_prev = (slope * p - c * p_prev, p,
                                 a * p + slope * d - c * d_prev, d)
@@ -165,10 +165,11 @@ def largest_zero(kind: str, l: int) -> float:
         raise ValueError(f"unknown polynomial family: {kind!r}")
     if l < 1:
         raise ValueError("degree must be >= 1")
+    terms = _three_terms(kind, l)  # once, not once per Newton step
     x = 1.0
     x_older = math.inf
     for _ in range(200):
-        p, dp = _eval_with_derivative(kind, l, x)
+        p, dp = _eval_with_derivative(terms, x)
         if p == 0.0:
             return x
         if dp <= 0.0:

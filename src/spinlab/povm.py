@@ -15,10 +15,9 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from . import numerics
-from .codes import (MultiRepState, _exact_size, _tower_phases, decoder_coefficients,
-                    exact_sphere)
-from .su2 import (Direction, HalfInt, X_AXIS, Y_AXIS, Z_AXIS, _d_fourier, _half_angle_terms,
-                  rotate_to)
+from .codes import (MultiRepState, _exact_size, _tower_kernel, _tower_phases,
+                    decoder_coefficients, exact_sphere)
+from .su2 import Direction, HalfInt, X_AXIS, Y_AXIS, Z_AXIS, _half_angle_terms, rotate_to
 
 # chunk size for vectorized sampling; fixed so a seed gives one stream
 _CHUNK = 1 << 17
@@ -215,34 +214,6 @@ def _first_reaching(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Per column, the first row whose cumulative probability reaches u; the
     last row when rounding leaves the total just below u."""
     return np.minimum((cum < u[None, :]).sum(axis=0), cum.shape[0] - 1)
-
-
-def _tower_kernel(code: MultiRepState) -> tuple[np.ndarray, list[tuple[slice, slice]]]:
-    """Column sn of every block's d^S as one real table, and where each block sits.
-
-    Returns (table, blocks). table, shape (D, 2n) with n = N // 2 + 1,
-    stacks the :func:`spinlab.su2._d_fourier` table of each block like the
-    code's components, zero past the block's own spin, so that
-    table @ _half_angle_terms(cos(theta), N) gives every block's d-column
-    at once with no trigonometric call. blocks lists, per block S, the
-    slice of its rows among the D components and the slice of the N + 1
-    projection slots m = N/2, ..., -N/2 that its projections S, ..., -S
-    fill.
-    """
-    n = code.nspins // 2 + 1
-    table = np.zeros((code.dim, 2 * n))
-    blocks = []
-    row = 0
-    for s in code.spins:
-        rows = slice(row, row + s.twice + 1)
-        first = (code.nspins - s.twice) // 2
-        blocks.append((rows, slice(first, first + s.twice + 1)))
-        f = _d_fourier(s.twice, code.sn.twice)
-        k = s.twice // 2 + 1
-        table[rows, :k] = f[:, :k]
-        table[rows, n:n + k] = f[:, k:]
-        row += s.twice + 1
-    return table, blocks
 
 
 def _slot_phases(nspins: int, turn: np.ndarray) -> np.ndarray:

@@ -158,29 +158,41 @@ def _projection_values(s: HalfInt) -> np.ndarray:
     return np.arange(s.twice, -s.twice - 1, -2) / 2.0
 
 
-# sphere grids and sampling tables read one entry per spin of a tower: the
-# largest grid POVM that `simulate` takes (N = 64) reads 33, each twice (rows,
-# then tables), and `verify --level full` and each benchmark workload read at
-# most 14; an entry of 2S <= 64 takes at most 68 kB
-@lru_cache(maxsize=64)
-def _sy_eigenbasis(twice: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvector columns of S_y for spin twice/2, frozen and shared.
+def _sy_tridiagonal(twice: int, index: int | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked eigenpairs of the real tridiagonal form T of S_y for spin twice/2.
 
-    Raises RuntimeError unless the eigenvalues are -S, ..., S in order to
-    within 1e-9 and every column has unit norm to within 1e-12; both
-    checks cost O(S^2), against O(S^3) for the solve (measured errors at
-    2S = 1000: 1.7e-13 and 1.2e-15).
+    S_y = diag(i^k) T diag(i^k)^dagger in the descending basis k = S - m; T
+    has zero diagonal and off-diagonals sqrt(S(S+1) - m'(m'+1))/2 for
+    m' = -S, ..., S - 1, a list that reads the same backwards. With index
+    None every pair comes from numpy.linalg.eigh of the dense T, in O(S^3);
+    otherwise the one pair of eigenvalue index - S comes from LAPACK's
+    bisection and inverse iteration (scipy.linalg.eigh_tridiagonal), in O(S).
+
+    Returns (lam, vecs, fold): the eigenvalues, the real eigenvectors as
+    columns, and fold[i] = |2i - 2S| // 2, the harmonic k = |2 lam| of
+    lam = i - S as an index into k = 2S mod 2, 2S mod 2 + 2, ..., 2S.
+    Raises RuntimeError unless each eigenvalue is within 1e-9 of i - S and
+    each eigenvector's squares sum to 1 within 1e-12 (the full solve at
+    2S = 1000 and 1001 is off by at most 1.7e-13 and 2.9e-15).
     """
-    lam, vecs = np.linalg.eigh(spin_operators(HalfInt(twice))[1])
-    lam_err = float(np.max(np.abs(lam - np.arange(-twice, twice + 1, 2) / 2.0)))
-    norm_err = float(np.max(np.abs(np.linalg.norm(vecs, axis=0) - 1.0)))
+    mp = np.arange(-twice, twice, 2)  # 2m' for m' = -S, ..., S - 1
+    off = np.sqrt((twice - mp) * (twice + mp + 2.0)) / 4.0
+    if index is None:
+        lam, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        want = np.arange(-twice, twice + 1, 2) / 2.0
+    else:
+        from scipy import linalg  # here, not at the top: its import takes about 80 ms
+        lam, vecs = linalg.eigh_tridiagonal(np.zeros(twice + 1), off, select="i",
+                                            select_range=(index, index))
+        want = index - twice / 2.0
+    lam_err = float(np.max(np.abs(lam - want)))
+    norm_err = float(np.max(np.abs(np.sum(np.square(vecs), axis=0) - 1.0)))
     if not (lam_err <= 1e-9 and norm_err <= 1e-12):
         raise RuntimeError(
-            f"S_y eigenbasis for 2S = {twice} is off: eigenvalues by {lam_err:.3e}, "
-            f"column norms by {norm_err:.3e}")
-    lam.setflags(write=False)
-    vecs.setflags(write=False)
-    return lam, vecs
+            f"S_y tridiagonal eigenpairs for 2S = {twice} are off: eigenvalues by "
+            f"{lam_err:.3e}, squared norms by {norm_err:.3e}")
+    return lam, vecs, np.abs(np.arange(-twice, twice + 1, 2)) // 2
 
 
 # one vector of floor(S) + 1 floats per (spin, projection): a 1000-spin tower
@@ -197,80 +209,64 @@ def _d_diagonal_cosines(twice: int, twice_m: int) -> np.ndarray:
     lam = +-k_i/2. A quarter turn about x takes S_y to S_z and S_z to -S_y,
     so w_lam = |<S,lam|u>|^2 for the eigenvector u of S_y at eigenvalue -m;
     the one at m carries the same weights mirrored, lam -> -lam, which the
-    fold cannot tell apart. After the similarity diag(i^k), S_y is the real
-    tridiagonal matrix with zero diagonal and off-diagonals
-    sqrt(S(S+1) - m'(m'+1))/2, whose eigenvalue m has ascending index S + m.
-    LAPACK's bisection and inverse iteration (scipy.linalg.eigh_tridiagonal)
-    give that one vector in O(S), with no dense S_y eigenbasis.
+    fold cannot tell apart. Up to the phases diag(i^k), that u is the
+    eigenvector of the real tridiagonal form of S_y (:func:`_sy_tridiagonal`)
+    at eigenvalue m, one vector in O(S), with no dense eigenbasis.
 
-    Raises RuntimeError unless the eigenvalue is within 1e-9 of m and the
-    weights sum to 1 within 1e-12.
+    Raises RuntimeError as :func:`_sy_tridiagonal` does.
     """
-    from scipy import linalg  # here, not at the top: its import takes about 80 ms
-
-    mp = np.arange(-twice, twice, 2)  # 2m' for m' = -S, ..., S - 1
-    off = np.sqrt((twice - mp) * (twice + mp + 2.0)) / 4.0
-    index = (twice + twice_m) // 2
-    lam, vec = linalg.eigh_tridiagonal(np.zeros(twice + 1), off, select="i",
-                                       select_range=(index, index))
-    w = vec[:, 0] ** 2
-    lam_err = abs(float(lam[0]) - twice_m / 2.0)
-    norm_err = abs(float(np.sum(w)) - 1.0)
-    if not (lam_err <= 1e-9 and norm_err <= 1e-12):
-        raise RuntimeError(
-            f"S_y eigenvector for 2S = {twice}, 2m = {twice_m} is off: eigenvalue by "
-            f"{lam_err:.3e}, weights sum to 1 by {norm_err:.3e}")
-    c = np.bincount(np.abs(np.arange(-twice, twice + 1, 2)) // 2, weights=w)
+    _, vec, fold = _sy_tridiagonal(twice, (twice + twice_m) // 2)
+    c = np.bincount(fold, weights=vec[:, 0] ** 2)
     c.setflags(write=False)
     return c
 
 
-def _d_combination(lam: np.ndarray, w: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Re(w) cos(theta lam) + Im(w) sin(theta lam) over the S_y eigenvalues lam.
-
-    w holds eigenbasis weights on its last axis; the result keeps w's other
-    axes and appends one for the angles in the 1-d array thetas.
-    """
-    angles = np.multiply.outer(lam, thetas)
-    out = w.real @ np.cos(angles)
-    if w.imag.any():  # diagonal elements have real weights |V[m, :]|^2
-        out += w.imag @ np.sin(angles, out=angles)
-    return out
-
-
-def _d_column(s: HalfInt, mp: HalfInt, thetas: np.ndarray) -> np.ndarray:
-    """Column m' of d^S(theta) for every angle in a 1-d array, shape (2S+1, npoints).
-
-    With S_y = V diag(lam) V^dagger, column m' of exp(-i theta S_y) is
-    W exp(-i theta lam) for W = V diag(conj(V[m', :])). It is real, so it
-    equals Re(W) cos(theta lam) + Im(W) sin(theta lam).
-    """
-    lam, vecs = _sy_eigenbasis(s.twice)
-    return _d_combination(lam, vecs * vecs[(s.twice - mp.twice) // 2].conj(), thetas)
-
-
-# a sampled code reads one table per block of its tower, at most N/2 + 1
+# exact sphere grids, grid POVMs and the sampler read one table per block of a
+# tower, all under the same keys (2S, 2sn): 33 for the largest grid POVM that
+# `simulate` takes (N = 64; 392 kB in all, 34 kB for the top block), 14 for
+# `verify --level full`, and 16 and 14 for the benchmark's routes and sampling
+# workloads, whose warm rounds miss none
 @lru_cache(maxsize=64)
 def _d_fourier(twice: int, twice_mp: int) -> np.ndarray:
     """Column m' of d^S as a real table over half-angle harmonics, frozen and shared.
 
-    twice and twice_mp are 2S and 2m'. The eigenvalues lam = +-k/2 of
-    :func:`_d_column` pair up: cos(theta lam) = cos(k theta/2) and
-    sin(theta lam) = sign(lam) sin(k theta/2). Folding each pair gives F of
-    shape (2S+1, 2n), n = floor(S) + 1, with
-    d^S_{m,m'}(theta) = sum_i F[m, i] c_i + F[m, n + i] s_i, where c_i and
-    s_i are the cosine and sine of k_i theta/2, k_i = 2S mod 2 + 2i, that
-    :func:`_half_angle_terms` lists. This is the same Fourier sum as
-    :func:`_d_column`, with no trigonometric call left per angle.
+    twice and twice_mp are 2S and 2m'. The Fourier method of Feng, Wang,
+    Yang & Jin, PRE 92, 043307 (2015): with S_y = V diag(lam) V^dagger,
+    column m' of exp(-i theta S_y) is real and equals Re(w) cos(theta lam)
+    + Im(w) sin(theta lam) for w = V diag(conj(V[m', :])). V = diag(i^k) U
+    with U real from :func:`_sy_tridiagonal`, so row k of w is
+    i^(k - k') U[k] U[k'], k' the row of m': real for even offsets,
+    imaginary for odd ones. The pairs lam = +-k/2 fold into F of shape
+    (2S+1, 2n), n = floor(S) + 1, with d^S_{m,m'}(theta) =
+    sum_i F[m, i] c_i + F[m, n + i] s_i, where c_i and s_i are the cosine
+    and sine of k_i theta/2, k_i = 2S mod 2 + 2i, as
+    :func:`_half_angle_trig` and :func:`_half_angle_terms` list them.
     """
-    lam, vecs = _sy_eigenbasis(twice)
-    w = vecs * vecs[(twice - twice_mp) // 2].conj()
-    n = twice // 2 + 1
-    fold = np.zeros((twice + 1, n))
-    fold[np.arange(twice + 1), np.abs(np.arange(-twice, twice + 1, 2)) // 2] = 1.0
-    table = np.concatenate([w.real @ fold, (w.imag * np.sign(lam)) @ fold], axis=1)
+    lam, u, fold = _sy_tridiagonal(twice)
+    col = (twice - twice_mp) // 2
+    offset = np.arange(twice + 1) - col
+    # i^offset is +-1 for even offsets and +-i for odd ones
+    w = np.where(offset % 4 < 2, 1.0, -1.0)[:, None] * u * u[col]
+    odd = (offset % 2 == 1)[:, None]
+    harmonic = np.zeros((twice + 1, twice // 2 + 1))
+    harmonic[np.arange(twice + 1), fold] = 1.0
+    table = np.concatenate([np.where(odd, 0.0, w) @ harmonic,
+                            np.where(odd, w * np.sign(lam), 0.0) @ harmonic], axis=1)
     table.setflags(write=False)
     return table
+
+
+def _half_angle_trig(theta, twice: int) -> np.ndarray:
+    """The harmonics of :func:`_d_fourier` for spins up to twice/2 at angle(s) theta.
+
+    Returns shape (2n,) + shape(theta), n = twice // 2 + 1: cos(k theta/2)
+    for k = twice mod 2, twice mod 2 + 2, ..., twice, then sin(k theta/2)
+    for the same k, by one trigonometric call each. Unlike
+    :func:`_half_angle_terms` they take theta itself, so they keep full
+    relative precision near theta = 0.
+    """
+    angles = np.multiply.outer(np.arange(twice // 2 + 1) + (twice % 2) / 2.0, theta)
+    return np.concatenate([np.cos(angles), np.sin(angles)])
 
 
 def _half_angle_terms(x: np.ndarray, twice: int) -> np.ndarray:
@@ -318,13 +314,13 @@ def wigner_small_d(s, m, mp, theta):
 
     Notes
     -----
-    Uses the S_y eigenbasis (numpy.linalg.eigh, cached per spin):
-    d^S(theta) = V exp(-i theta Lambda) V^dagger, the Fourier method of
-    Feng, Wang, Yang & Jin, PRE 92, 043307 (2015). Only row m is formed,
-    from w = V[m, :] conj(V[m', :]) as Re(w) cos(theta Lambda) +
-    Im(w) sin(theta Lambda), so each angle costs O(S). No sum cancels, so
-    the elements stay unitary to rounding; the tests hold columns to 1e-13
-    up to 2S = 401.
+    Reads row m of the column table :func:`_d_fourier` (the Fourier
+    method of Feng, Wang, Yang & Jin, PRE 92, 043307 (2015), on the real
+    tridiagonal form of S_y from numpy.linalg.eigh, cached per spin and
+    column) times cos and sin of k theta/2 (:func:`_half_angle_trig`), so
+    each angle costs O(S). No sum cancels, so the elements stay unitary to
+    rounding; the tests hold columns to 1e-13 up to 2S = 401, and
+    off-diagonal elements to 1e-13 down to theta = 1e-300.
     """
     s = HalfInt.of(s)
     m = HalfInt.of(m)
@@ -332,12 +328,11 @@ def wigner_small_d(s, m, mp, theta):
     _check_projection(s, m)
     _check_projection(s, mp)
     theta_arr = np.asarray(theta, dtype=float)
-    lam, vecs = _sy_eigenbasis(s.twice)
-    w = vecs[(s.twice - m.twice) // 2] * vecs[(s.twice - mp.twice) // 2].conj()
-    row = _d_combination(lam, w, theta_arr.ravel())
+    row = _d_fourier(s.twice, mp.twice)[(s.twice - m.twice) // 2]
+    out = row @ _half_angle_trig(theta_arr.ravel(), s.twice)
     if np.ndim(theta) == 0:
-        return float(row[0])
-    return row.reshape(theta_arr.shape)
+        return float(out[0])
+    return out.reshape(theta_arr.shape)
 
 
 def rotate_to(s, m, n: Direction) -> SpinKet:
@@ -349,7 +344,7 @@ def rotate_to(s, m, n: Direction) -> SpinKet:
     s = HalfInt.of(s)
     m = HalfInt.of(m)
     _check_projection(s, m)
-    column = _d_column(s, m, np.array([n.theta]))[:, 0]
+    column = _d_fourier(s.twice, m.twice) @ _half_angle_trig(n.theta, s.twice)
     return SpinKet(s, np.exp(-1j * _projection_values(s) * n.phi) * column)
 
 

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -177,12 +179,29 @@ def test_simulate_octahedron_row(capsys):
     ("--n 40 --shots 20000 --seed 3",
      "40,grid,20000,3,0.996850814143281,5.87318804202078e-05,0.996876085310183,"
      "-0.430280228062791"),
+    ("--n 64 --shots 20000 --seed 5",
+     "64,grid,20000,5,0.998741414358143,2.13186302929165e-05,0.998712347123237,"
+     "1.36346634405297"),
 ])
 def test_simulate_seeded_rows_pinned(args, row, capsys):
     # any change in the draw order, the outcome scan or the score moves these bytes
     code, out = run_cli(["simulate", *args.split()], capsys)
     assert code == 0
     assert out.splitlines() == ["n,povm,shots,seed,f_hat,stderr,f_exact,z_score", row]
+
+
+def test_simulate_leaves_scipy_linalg_unimported():
+    # the sampler's Wigner-d tables come from numpy.linalg.eigh; importing
+    # scipy.linalg would add about 80 ms to every simulate call
+    code = ("import sys; from spinlab import cli; "
+            "status = cli.main(['simulate', '--n', '12', '--shots', '1000']); "
+            "print(status, 'scipy.linalg' in sys.modules)")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def test_simulate_repeat_seed_identical(capsys):

@@ -319,7 +319,10 @@ def _random_povm(dim, count, seed):
 
 
 def test_generic_path_draws_the_reference_outcomes():
-    # reference: the per-shot amplitudes of _block_amplitudes at arccos(x)
+    # reference: the per-shot amplitudes of _block_amplitudes at arccos(x);
+    # both read the d-columns from codes._tower_kernel, so this checks the
+    # sampler's assembly (harmonics, phases, cumulative scan), not the tables,
+    # which tests/test_su2.py holds to expm(-i theta S_y)
     rng = np.random.default_rng(5)
     c = rng.normal(size=3) + 1j * rng.normal(size=3)
     code = MultiRepState(HalfInt(1), 5, c / np.linalg.norm(c))          # spins 5/2, 3/2, 1/2

@@ -94,6 +94,19 @@ def test_wigner_small_d_closed_forms():
     assert np.max(np.abs(got - np.cos(THETAS / 2.0) ** 3)) < 1e-14
 
 
+@pytest.mark.parametrize("twice_s", [1, 2, 7, 40, 129])
+def test_wigner_small_d_off_diagonal_at_extreme_angles(twice_s):
+    # column m' = S in closed form, sqrt(C(2S, S - m)) cos^(S+m)(theta/2) sin^(S-m)(theta/2);
+    # a kernel built from x = cos(theta) loses about 5e-12 at theta = 1e-5
+    theta = np.array([1e-300, 1e-12, 1e-8, 1e-5, math.pi - 1e-8, *THETAS])
+    s = HalfInt(twice_s)
+    half_cos, half_sin = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    for m in projections(s)[1:]:
+        up, down = (twice_s + m.twice) // 2, (twice_s - m.twice) // 2
+        want = math.sqrt(math.comb(twice_s, down)) * half_cos ** up * half_sin ** down
+        assert np.max(np.abs(wigner_small_d(s, m, s, theta) - want)) < 1e-13
+
+
 def test_wigner_small_d_identity_at_zero():
     for s in (HalfInt(1), HalfInt(4)):
         for m in projections(s):
@@ -144,52 +157,73 @@ def test_wigner_columns_unitary_at_large_spin(twice_s):
         assert abs(np.vdot(nxt, col)) < 1e-13
 
 
+def _expm_column(twice_s, twice_mp, thetas):
+    """Column m' of exp(-i theta S_y) by scipy's expm, one matrix per distinct angle,
+    shape (2S+1, npoints)."""
+    sy = spin_operators(HalfInt(twice_s))[1]
+    col = (twice_s - twice_mp) // 2
+    angles, back = np.unique(thetas, return_inverse=True)
+    return expm(np.multiply.outer(-1j * angles, sy))[:, :, col].real.T[:, back]
+
+
+@settings(deadline=None)
 @given(st.integers(0, 128), st.data(),
        st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20))
 def test_half_angle_kernel_matches_d_column(twice_s, data, xs):
-    # the sampler's trig-free columns against the eigenbasis kernel at arccos(x)
+    # the sampler's trig-free columns against expm(-i theta S_y) at arccos(x)
     twice_mp = data.draw(st.sampled_from(range(-twice_s, twice_s + 1, 2)))
     x = np.array([-1.0, 1.0, *xs])
     n = twice_s // 2 + 1
     terms = su2._half_angle_terms(x, twice_s)
     assert terms.shape == (2 * n, x.size)
-    want = su2._d_column(HalfInt(twice_s), HalfInt(twice_mp), np.arccos(x))
+    want = _expm_column(twice_s, twice_mp, np.arccos(x))
     assert np.max(np.abs(su2._d_fourier(twice_s, twice_mp) @ terms - want)) < 1e-13
     # a lower spin of the same parity reads the leading terms of each half
     if twice_s >= 2:
         low = twice_s - 2
         k = low // 2 + 1
-        got = su2._d_fourier(low, low % 2) @ np.concatenate([terms[:k], terms[n:n + k]])
-        want = su2._d_column(HalfInt(low), HalfInt(low % 2), np.arccos(x))
+        table = su2._d_fourier(low, low % 2)
+        got = table @ np.concatenate([terms[:k], terms[n:n + k]])
+        want = table @ su2._half_angle_trig(np.arccos(x), low)
         assert np.max(np.abs(got - want)) < 1e-13
 
 
 @pytest.mark.parametrize("fault", ["eigenvalue", "norm"])
-def test_sy_eigenbasis_guard_raises(fault, monkeypatch):
-    eigh = np.linalg.eigh
+@pytest.mark.parametrize("solve", ["table", "vector"])
+def test_sy_tridiagonal_guard_raises(solve, fault, monkeypatch):
+    # the full solve behind _d_fourier and the one-vector solve behind
+    # _d_diagonal_cosines share one eigenvalue and norm guard
+    module, name, build = {
+        "table": (np.linalg, "eigh", su2._d_fourier),
+        "vector": (scipy.linalg, "eigh_tridiagonal", su2._d_diagonal_cosines),
+    }[solve]
+    solver = getattr(module, name)
 
-    def faulty(a):
-        lam, vecs = eigh(a)
+    def faulty(*args, **kwargs):
+        lam, vecs = solver(*args, **kwargs)
         if fault == "eigenvalue":
             return lam + 2e-9, vecs
-        return lam, vecs * (1.0 + 1e-11)
+        return lam, vecs * (1.0 + 1e-12)
 
-    su2._sy_eigenbasis.cache_clear()
-    monkeypatch.setattr(np.linalg, "eigh", faulty)
+    build.cache_clear()
+    monkeypatch.setattr(module, name, faulty)
     try:
-        with pytest.raises(RuntimeError, match="eigenbasis"):
-            su2._sy_eigenbasis(7)
+        with pytest.raises(RuntimeError, match="eigenpairs"):
+            build(7, 1)
     finally:
         monkeypatch.undo()
-        su2._sy_eigenbasis.cache_clear()
-    assert np.allclose(su2._sy_eigenbasis(7)[0], np.arange(-7, 8, 2) / 2.0)
+        build.cache_clear()
+    # at theta = 0 both read d^S_{m,m} = 1 on the diagonal
+    assert wigner_small_d(HalfInt(7), HalfInt(1), HalfInt(1), 0.0) == pytest.approx(1.0, abs=1e-14)
+    assert su2._d_diagonal_cosines(7, 1).sum() == pytest.approx(1.0, abs=1e-14)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 401), st.data(),
        st.lists(st.floats(0.0, math.pi), min_size=1, max_size=20))
 def test_diagonal_cosine_series_matches_wigner_small_d(twice_s, data, thetas):
-    # the +z quadrature's series against the dense eigenbasis kernel, both parities
+    # the +z quadrature's one-vector series against the full-table kernel of
+    # wigner_small_d (same tridiagonal matrix, other LAPACK solver), both parities
     twice_m = data.draw(st.sampled_from(range(-twice_s, twice_s + 1, 2)))
     theta = np.array([0.0, math.pi, *thetas])
     c = su2._d_diagonal_cosines(twice_s, twice_m)
@@ -198,27 +232,6 @@ def test_diagonal_cosine_series_matches_wigner_small_d(twice_s, data, thetas):
     got = c @ np.cos(np.multiply.outer(half_k, theta))
     want = wigner_small_d(HalfInt(twice_s), HalfInt(twice_m), HalfInt(twice_m), theta)
     assert np.max(np.abs(got - want)) < 1e-13
-
-
-@pytest.mark.parametrize("fault", ["eigenvalue", "norm"])
-def test_diagonal_cosines_guard_raises(fault, monkeypatch):
-    solve = scipy.linalg.eigh_tridiagonal
-
-    def faulty(*args, **kwargs):
-        lam, vec = solve(*args, **kwargs)
-        if fault == "eigenvalue":
-            return lam + 2e-9, vec
-        return lam, vec * (1.0 + 1e-12)
-
-    su2._d_diagonal_cosines.cache_clear()
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", faulty)
-    try:
-        with pytest.raises(RuntimeError, match="eigenvector"):
-            su2._d_diagonal_cosines(7, 1)
-    finally:
-        monkeypatch.undo()
-        su2._d_diagonal_cosines.cache_clear()
-    assert su2._d_diagonal_cosines(7, 1).sum() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_diagonal_cosines_are_read_only():
