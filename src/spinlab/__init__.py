@@ -19,7 +19,7 @@ from .infogain import info_gain_closed, info_gain_quadrature, maximize_alpha
 from .numerics import (bessel_j0_first_zero, gauss_legendre,
                        hermitian_eigensystem, largest_zero,
                        tridiag_max_eigenpair)
-from .povm import (FinitePovm, check_identity, octahedron_povm,
+from .povm import (FinitePovm, RingPovm, check_identity, octahedron_povm,
                    povm_fidelity_exact, quadrature_povm, simulate,
                    von_neumann_pair)
 from .su2 import (Direction, HalfInt, SpinKet, X_AXIS, Y_AXIS, Z_AXIS,
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphaFamily", "DensityMatrix", "Direction", "FinitePovm", "HalfInt",
-    "MultiRepState", "SpinKet", "X_AXIS", "Y_AXIS", "Z_AXIS",
+    "MultiRepState", "RingPovm", "SpinKet", "X_AXIS", "Y_AXIS", "Z_AXIS",
     "alpha_code", "alpha_state", "asymptotic_table", "bessel_j0_first_zero",
     "build_m", "check_identity", "code_state", "coherent_code",
     "decoder_coefficients", "decoder_state", "entanglement_entropy",

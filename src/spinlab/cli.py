@@ -24,10 +24,10 @@ from .su2 import (Direction, HalfInt, X_AXIS, overlap_sq_32, peres_generators,
                   spin_operators, wigner_small_d)
 
 
-# largest --n for the grid POVM, set by its state array alone: (N+2)^2 outcomes
-# over a (N/2+1)^2-dimensional tower, 4356 x 1089 complex (about 76 MB) at
-# N = 64. The ring-first sampler holds O(N^2) values per shot, not O(N^4)
-GRID_MAX_N = 64
+# largest --n for the grid POVM. The ring sampler's fold table, T x 2(N + 1) x
+# 2(N // 2 + 1) floats over T = N + 2 rings, grows as N^3 (35 MB at N = 128),
+# so the cap bounds memory; it is also where su2._half_angle_terms is tested
+GRID_MAX_N = 128
 
 
 def _format_value(v) -> str:
@@ -213,8 +213,8 @@ def _claims(level: str):
 
     yield from routes([*range(7, 13), 100, 200])
     yield from optimal(range(9, 33))
-    # N = 16 (dimension 81) only: larger grids would lengthen every full run
-    yield from identities([*range(4, 7), 16])
+    # checked one projection at a time, N = 64 (dimension 1089) takes about 10 ms
+    yield from identities([*range(4, 7), 16, 64])
 
     entropies = [
         ("qubit", coherent_code(2), 1.0),
@@ -297,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", help="Monte Carlo decoding run")
     s.add_argument("--n", type=_int_in(1), default=1,
-                   help=f"number of spins; --povm grid takes N <= {GRID_MAX_N}, since the "
-                        "grid POVM's state array grows as N^4. The grid is sampled ring "
+                   help=f"number of spins; --povm grid takes N <= {GRID_MAX_N}, since its "
+                        "ring sampler's fold table grows as N^3. The grid is sampled ring "
                         "first, about (N+1)(2N+4) + D operations plus the Wigner-d "
                         "columns per shot (D = tower dimension); the octahedron "
                         "computes all 6 outcome probabilities per shot")

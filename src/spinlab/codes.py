@@ -129,14 +129,13 @@ def alpha_code(f: AlphaFamily) -> MultiRepState:
 def _tower_kernel(code: MultiRepState) -> tuple[np.ndarray, list[tuple[slice, slice]]]:
     """Column sn of every block's d^S as one real table, and where each block sits.
 
-    Returns (table, blocks). table, shape (D, 2n) with n = N // 2 + 1,
-    stacks the :func:`spinlab.su2._d_fourier` table of each block like the
-    code's components, zero past the block's own spin, so that table times
-    the half-angle harmonics of spin N/2 (:func:`spinlab.su2._half_angle_trig`
-    of theta, or :func:`spinlab.su2._half_angle_terms` of cos(theta)) gives
-    every block's d-column at once. blocks lists, per block S, the slice of
-    its rows among the D components and the slice of the N + 1 projection
-    slots m = N/2, ..., -N/2 that its projections S, ..., -S fill.
+    table, shape (D, 2n) with n = N // 2 + 1, stacks each block's
+    :func:`spinlab.su2._d_fourier` table like the code's components, zero
+    past the block's own spin, so that table times the half-angle harmonics
+    of spin N/2 (:func:`spinlab.su2._half_angle_trig` or ``_half_angle_terms``)
+    gives every block's d-column at once. blocks lists, per block S, the
+    slice of its rows among the D components and the slice of the N + 1
+    projection slots m = N/2, ..., -N/2 that its projections S, ..., -S fill.
     """
     n = code.nspins // 2 + 1
     table = np.zeros((code.dim, 2 * n))
@@ -269,16 +268,30 @@ def _exact_size(nspins: int) -> int:
     return nspins + 2
 
 
-def _tower_phases(sn: HalfInt, nspins: int, count: int) -> np.ndarray:
-    """e^{-i m 2 pi l / count} for l < count, shape (count, tower dimension).
+def _tower_projections(sn: HalfInt, nspins: int) -> np.ndarray:
+    """Projection m of each component of the tower (sn, N), in component order."""
+    return np.concatenate([_projection_values(HalfInt(t)) for t in range(nspins, sn.twice - 1, -2)])
 
-    Columns follow the components of the tower S = N/2, N/2 - 1, ..., sn,
-    blocks in descending spin and projections m = S, ..., -S in each.
-    """
-    m = np.concatenate([_projection_values(HalfInt(t))
-                        for t in range(nspins, sn.twice - 1, -2)])
+
+def _tower_phases(sn: HalfInt, nspins: int, count: int) -> np.ndarray:
+    """e^{-i m 2 pi l / count} for l < count, shape (count, tower dimension)."""
     azimuths = 2.0 * math.pi * np.arange(count) / count
-    return np.exp(-1j * np.multiply.outer(azimuths, m))
+    return np.exp(-1j * np.multiply.outer(azimuths, _tower_projections(sn, nspins)))
+
+
+def _turned_about_z(vecs: np.ndarray, count: int) -> np.ndarray:
+    """Vectors vecs (T, 3) turned about z by 2 pi l / count, shape (T count, 3), l fastest."""
+    phis = 2.0 * math.pi * np.arange(count) / count
+    (x, y, z), c, s = vecs.T[:, :, None], np.cos(phis), np.sin(phis)
+    return np.stack([x * c - y * s, x * s + y * c, z.repeat(count, 1)], axis=2).reshape(-1, 3)
+
+
+def _ring_rows(sn: HalfInt, nspins: int, count: int, states: np.ndarray, vecs: np.ndarray):
+    """(states (T count, D), unit vectors (T count, 3)) of T rings over the tower (sn, N),
+    given at azimuth 0: point j count + l, at phi = 2 pi l / count, has ring j's state
+    times e^{-i m phi} per component of projection m and its vector turned by phi."""
+    rows = (states[:, None, :] * _tower_phases(sn, nspins, count)).reshape(-1, states.shape[1])
+    return rows, _turned_about_z(vecs, count)
 
 
 def grid_unit_vectors(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -287,20 +300,25 @@ def grid_unit_vectors(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return np.stack([st * np.cos(phis), st * np.sin(phis), np.cos(thetas)], axis=1)
 
 
+def _exact_rings(a: MultiRepState) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(ring size P, weights (T,), states (T, dim), unit vectors (T, 3)) of the T
+    polar rings of :func:`exact_sphere` at azimuth 0, one d-column per block each."""
+    size = _exact_size(a.nspins)
+    w, th, _ = sphere_grid(size, size)
+    th, ph = th[::size], np.zeros(size)
+    return size, w[::size], _block_amplitudes(a, th, ph).T, grid_unit_vectors(th, ph)
+
+
 def exact_sphere(a: MultiRepState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The exact sphere grid of :func:`_exact_size` for a code family, ring by ring.
 
     Returns (weights (K,), states (K, dim), unit vectors (K, 3)) over the
-    K = (N + 2)^2 points of :func:`sphere_grid`: the weights sum to 1 and
-    row k of states is the encoded state A(n_k). The state at a grid point
-    is its polar ring's state at azimuth 0 times e^{-i m phi} per component,
-    so one Wigner-d column per block and polar angle builds every row.
+    K = (N + 2)^2 points of :func:`sphere_grid`, the rings of
+    :func:`_exact_rings` expanded: the weights sum to 1 and row k of states
+    is the encoded state A(n_k).
     """
-    size = _exact_size(a.nspins)
-    w, th, ph = sphere_grid(size, size)
-    rings = _block_amplitudes(a, th[::size], np.zeros(size))
-    states = (rings.T[:, None, :] * _tower_phases(a.sn, a.nspins, size)).reshape(-1, a.dim)
-    return w, states, grid_unit_vectors(th, ph)
+    size, w, states, vecs = _exact_rings(a)
+    return (np.repeat(w, size), *_ring_rows(a.sn, a.nspins, size, states, vecs))
 
 
 def source_density(a: MultiRepState) -> DensityMatrix:

@@ -2,8 +2,8 @@
 
 A finite POVM here is three arrays over its K outcomes: weights, rank-one
 unit states and the unit vector the decoder reports when each one fires.
-A grid POVM also declares its ring layout, which lets the sampler draw a
-polar ring first and an outcome on that ring second.
+A grid POVM holds them per polar ring, so its identity check goes one
+projection at a time and the sampler draws a ring, then an outcome on it.
 """
 
 from __future__ import annotations
@@ -15,64 +15,40 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from . import numerics
-from .codes import (MultiRepState, _exact_size, _tower_kernel, _tower_phases,
-                    decoder_coefficients, exact_sphere)
+from .codes import (MultiRepState, _exact_rings, _ring_rows, _tower_kernel, _tower_phases,
+                    _tower_projections, _turned_about_z, decoder_coefficients, exact_sphere)
 from .su2 import Direction, HalfInt, X_AXIS, Y_AXIS, Z_AXIS, _half_angle_terms, rotate_to
 
 # chunk size for vectorized sampling; fixed so a seed gives one stream
 _CHUNK = 1 << 17
 # values per sampling sub-block: shots times a per-shot footprint of K + D on
-# the generic path (K outcomes, dimension D) and T + P + N + 1 on the ring
-# path (T rings of P outcomes, N + 1 projection slots). With no trigonometric
-# call left in the draw, whole chunks are bound by memory traffic, so the
-# sub-blocks are sized to stay in cache: 13107 shots for the octahedron,
-# 3196 for the N = 12 grid and 665 at N = 64. On a 2 MB-L2 Xeon core the
-# octahedron's simulate took 211 ns per shot this way against 351 ns with
-# whole 131072-shot chunks, and the N = 12 grid 589 against 1085 ns
+# the generic path (K outcomes, dimension D), T + P + N + 1 on the ring path
+# (T rings of P outcomes, N + 1 projection slots). The draw is bound by memory
+# traffic, so sub-blocks stay in cache (13107 shots for the octahedron, 3196
+# for the N = 12 grid): on a 2 MB-L2 Xeon core, 211 and 589 ns per shot against
+# 351 and 1085 ns in whole 131072-shot chunks
 _BUDGET = 1 << 17
 
 
-@dataclass(frozen=True)
-class RingLayout:
-    """Ring structure of a grid POVM over the tower S = N/2, N/2 - 1, ..., sn.
-
-    Outcome j * ring_size + l is ring state j, the state of outcome
-    j * ring_size, times e^{-i m 2 pi l / ring_size} on each tower component
-    of projection m, and the outcomes of one ring share one weight.
-    :class:`FinitePovm` checks a declared layout against its rows.
-    """
-
-    sn: HalfInt
-    nspins: int
-    ring_size: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "sn", HalfInt.of(self.sn))
-
-    def phases(self) -> np.ndarray:
-        """e^{-i m 2 pi l / ring_size} from :func:`spinlab.codes._tower_phases`;
-        the first block, S = N/2, holds each of the N + 1 projections once."""
-        return _tower_phases(self.sn, self.nspins, self.ring_size)
-
-
-def _check_ring_layout(layout: RingLayout, weights: np.ndarray, states: np.ndarray) -> None:
-    """Raise ValueError unless the rows and weights follow the declared layout.
-
-    Parseval over a ring's azimuths needs ring_size >= N + 1, so that no
-    two projections of the tower share a phase pattern.
-    """
-    size = layout.ring_size
-    if size < layout.nspins + 1:
-        raise ValueError(f"a ring layout over N = {layout.nspins} needs at least "
-                         f"{layout.nspins + 1} outcomes per ring")
-    phases = layout.phases()
-    if phases.shape[1] != states.shape[1] or weights.size % size != 0:
-        raise ValueError("the ring layout does not match the POVM's dimension "
-                         "or outcome count")
-    for ring, w in zip(states.reshape(-1, size, states.shape[1]), weights.reshape(-1, size)):
-        if (np.max(np.abs(ring - ring[0] * phases)) > 1e-12
-                or np.max(np.abs(w - w[0])) > 1e-12 * w[0]):
-            raise ValueError("the states or weights do not follow the declared ring layout")
+def _store_outcomes(p, dim: int) -> None:
+    """Check a POVM's weights, unit states and unit guesses, one per row, on
+    a dim-dimensional space, and store them as read-only arrays."""
+    weights = np.asarray(p.weights, dtype=float)
+    if weights.ndim != 1 or weights.size == 0:
+        raise ValueError("a POVM needs a vector of at least one weight")
+    if not np.all(weights > 0.0):
+        raise ValueError("weights must be positive")
+    states = np.asarray(p.states, dtype=complex, order="C")
+    guesses = np.asarray(p.guesses, dtype=float)
+    for name, rows, width in (("states", states, dim), ("guesses", guesses, 3)):
+        if rows.shape != (weights.size, width):
+            raise ValueError(f"{name} must have shape ({weights.size}, {width})")
+        if not np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= 1e-12):
+            raise ValueError(f"{name} must be unit vectors")
+    for name, value in (("weights", weights), ("states", states), ("guesses", guesses)):
+        value = value.view()
+        value.flags.writeable = False
+        object.__setattr__(p, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,58 +58,66 @@ class FinitePovm:
     Outcome k has weight ``weights[k] > 0``, unit state ``states[k]`` (a row
     of the complex (K, dim) array) and guesses the unit vector
     ``guesses[k]`` (a row of the (K, 3) array) when it fires. The outcomes
-    resolve the identity when the weighted Gram matrix
-    sum_k w_k |s_k><s_k| equals it, which :func:`check_identity` measures;
-    the weights then sum to dim. An optional ``layout`` declares the ring
-    structure of a grid POVM; it is checked against the rows on
-    construction and selects the ring-first sampler of :func:`simulate`.
+    resolve the identity when sum_k w_k |s_k><s_k| equals it
+    (:func:`check_identity`); the weights then sum to dim.
     """
 
     dim: int
     weights: np.ndarray
     states: np.ndarray
     guesses: np.ndarray
-    layout: RingLayout | None = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        weights = np.asarray(self.weights, dtype=float)
-        if weights.ndim != 1 or weights.size == 0:
-            raise ValueError("a POVM needs a vector of at least one weight")
-        if not np.all(weights > 0.0):
-            raise ValueError("weights must be positive")
-        states = np.asarray(self.states, dtype=complex, order="C")
-        if states.shape != (weights.size, self.dim):
-            raise ValueError(f"states must have shape ({weights.size}, {self.dim})")
-        if not np.all(np.abs(np.linalg.norm(states, axis=1) - 1.0) <= 1e-12):
-            raise ValueError("states must be normalized")
-        guesses = np.asarray(self.guesses, dtype=float)
-        if guesses.shape != (weights.size, 3):
-            raise ValueError(f"guesses must have shape ({weights.size}, 3)")
-        if not np.all(np.abs(np.linalg.norm(guesses, axis=1) - 1.0) <= 1e-12):
-            raise ValueError("guesses must be unit vectors")
-        if self.layout is not None:
-            _check_ring_layout(self.layout, weights, states)
-        for name, value in (("weights", weights), ("states", states), ("guesses", guesses)):
-            value = value.view()
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        _store_outcomes(self, self.dim)
 
 
-def quadrature_povm(sn, nspins: int) -> FinitePovm:
+@dataclass(frozen=True, eq=False)
+class RingPovm:
+    """Rank-one grid POVM on the tower S = N/2, N/2 - 1, ..., sn, held ring by ring.
+
+    Each of the T rings has ``ring_size`` = P >= N + 1 outcomes, so that no
+    two projections of the tower share a phase pattern over a ring. Outcome
+    j P + l sits at azimuth 2 pi l / P of ring j, whose ``weights[j]``, unit
+    ``states[j]`` (rows of (T, D)) and ``guesses[j]`` hold at azimuth 0.
+    """
+
+    sn: HalfInt
+    nspins: int
+    ring_size: int
+    weights: np.ndarray
+    states: np.ndarray
+    guesses: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "sn", HalfInt.of(self.sn))
+        decoder_coefficients(self.sn, self.nspins)  # raises unless (sn, N) is a tower
+        if self.ring_size < self.nspins + 1:
+            raise ValueError(f"a grid POVM over N = {self.nspins} needs at least "
+                             f"{self.nspins + 1} outcomes per ring")
+        _store_outcomes(self, self.dim)
+
+    @property
+    def dim(self) -> int:  # the sum of 2S + 1 over the tower
+        return ((self.nspins + 2) ** 2 - self.sn.twice ** 2) // 4
+
+    def rows(self) -> FinitePovm:
+        """The same measurement with each of its T P outcomes as one row."""
+        rows = _ring_rows(self.sn, self.nspins, self.ring_size, self.states, self.guesses)
+        return FinitePovm(self.dim, np.repeat(self.weights, self.ring_size), *rows)
+
+
+def quadrature_povm(sn, nspins: int) -> RingPovm:
     """Grid discretization of the covariant decoder measurement.
 
     One outcome per point of :func:`spinlab.codes.exact_sphere` for the
     decoder family, with D times the grid weight, so the weights sum to D
-    and the elements resolve the identity exactly. The rows are built ring
-    by ring, and the POVM declares that :class:`RingLayout`.
+    and the elements resolve the identity exactly. Only its polar rings
+    are built.
     """
     sn = HalfInt.of(sn)
     family = MultiRepState(sn, nspins, decoder_coefficients(sn, nspins).astype(complex))
-    w, states, vecs = exact_sphere(family)
-    layout = RingLayout(sn, nspins, _exact_size(nspins))
-    return FinitePovm(family.dim, family.dim * w, states, vecs, layout)
+    size, w, states, vecs = _exact_rings(family)
+    return RingPovm(sn, nspins, size, family.dim * w, states, vecs)
 
 
 def _coherent_povm(s: HalfInt, dirs: tuple[Direction, ...], weight: float) -> FinitePovm:
@@ -159,17 +143,28 @@ def von_neumann_pair(m: Direction) -> FinitePovm:
     return _coherent_povm(HalfInt(1), (m, m.antipode()), 1.0)
 
 
-def check_identity(p: FinitePovm) -> float:
+def check_identity(p: FinitePovm | RingPovm) -> float:
     """Operator-norm deviation of sum_k w_k |s_k><s_k| from the identity.
 
-    The sum is one weighted Gram matrix of the state rows.
+    For a :class:`FinitePovm` the sum is one weighted Gram matrix of the
+    state rows. For a :class:`RingPovm`, Parseval over each ring's P >= N + 1
+    azimuths makes it block-diagonal in the projection m, so no D x D matrix
+    is formed: one block P sum_j w_j R_j[S, m] conj(R_j[S', m]) per m.
     """
-    gram = (p.states.T * p.weights) @ p.states.conj()
-    vals, _ = numerics.hermitian_eigensystem(gram - np.eye(p.dim))
-    return float(np.max(np.abs(vals)))
+    if isinstance(p, FinitePovm):
+        parts = [(p.states, p.weights)]
+    else:
+        m = _tower_projections(p.sn, p.nspins)
+        parts = [(p.states[:, m == v], p.ring_size * p.weights) for v in np.unique(m)]
+    worst = 0.0
+    for states, weights in parts:
+        gram = (states.T * weights) @ states.conj()
+        vals, _ = numerics.hermitian_eigensystem(gram - np.eye(states.shape[1]))
+        worst = max(worst, float(np.max(np.abs(vals))))
+    return worst
 
 
-def povm_fidelity_exact(code: MultiRepState, p: FinitePovm) -> float:
+def povm_fidelity_exact(code: MultiRepState, p: FinitePovm | RingPovm) -> float:
     """Exact mean fidelity of a code decoded by a finite POVM.
 
     The average of sum_k w_k |<A(n)|s_k>|^2 (1 + n.g_k)/2 over the encoded
@@ -181,6 +176,7 @@ def povm_fidelity_exact(code: MultiRepState, p: FinitePovm) -> float:
     deviation = check_identity(p)
     if deviation > 1e-10:
         raise ValueError(f"POVM does not resolve the identity (deviation {deviation:.3e})")
+    p = p.rows() if isinstance(p, RingPovm) else p
     w, states, vecs = exact_sphere(code)
     prob = np.abs(p.states.conj() @ states.T) ** 2         # (outcomes, points)
     score = (1.0 + p.guesses @ vecs.T) / 2.0
@@ -256,40 +252,39 @@ def _generic_sampler(code: MultiRepState, p: FinitePovm):
     return draw
 
 
-def _ring_sampler(code: MultiRepState, p: FinitePovm):
-    """Ring-first outcome draw for a POVM whose layout covers the code's tower.
+def _ring_sampler(code: MultiRepState, p: RingPovm):
+    """Ring-first outcome draw for a grid POVM on the code's own tower.
 
     With ring state R_j, the overlap of outcome (j, l) with the code state
     at (theta, phi) is sum_m g_jm(theta) e^{-i m phi} e^{i m phi_l}, where
-    g_jm = sum_S a_S conj(R_j[S, m]) d^S_{m,sn}(theta) collects the N + 1
-    projections. Each g_jm is a fixed combination of the half-angle
-    harmonics of :func:`spinlab.su2._half_angle_terms`, folded here into
-    one (N + 1, 2n) table per ring, so a shot's work does not grow with
-    the dimension D. Parseval over the ring's P >= N + 1 azimuths makes
-    ring j's probability P w_j sum_m |g_jm|^2, a polynomial of degree <= N
-    in cos(theta) whose Chebyshev coefficients are fitted here from N + 1
-    nodes. The returned function maps (cos(theta), e^{i phi}, u) of a
-    sub-block of shots to outcome indices: it picks each shot's ring from
-    the fitted probabilities, then the outcome on that ring from its P
-    amplitudes, shots of one ring sharing one matrix product.
+    g_jm = sum_S a_S conj(R_j[S, m]) d^S_{m,sn}(theta), a fixed combination
+    of the half-angle harmonics of :func:`spinlab.su2._half_angle_terms`
+    folded into one (N + 1, 2n) table per ring, free of the dimension D.
+    Parseval over the ring's P >= N + 1 azimuths makes ring j's probability
+    P w_j sum_m |g_jm|^2, a polynomial of degree <= N in cos(theta) fitted
+    as a Chebyshev series from N + 1 nodes. The returned function maps
+    (cos(theta), e^{i phi}, u) of a sub-block of shots to outcome indices:
+    a ring from the fitted probabilities, then an outcome from its ring's P
+    amplitudes, the shots of one ring sharing one matrix product.
     """
-    size = p.layout.ring_size
+    size, ring_weights = p.ring_size, p.weights
     nslots = code.nspins + 1
-    ring_weights = p.weights[::size]
     table, blocks = _tower_kernel(code)
-    widths = [s.twice + 1 for s in code.spins]
-    mixed = (np.repeat(code.coeffs, widths) * p.states[::size].conj()).T  # (D, T)
-    fold = np.zeros((ring_weights.size, nslots, table.shape[1]), dtype=complex)
+    mixed = (np.repeat(code.coeffs, [s.twice + 1 for s in code.spins]) * p.states.conj()).T
+    # real and imaginary parts stacked, so each product is a real one; the
+    # table, O(N^3) floats, is the largest array of the ring path
+    fold = np.zeros((ring_weights.size, 2, nslots, table.shape[1]))
     for rows, slots in blocks:
-        fold[:, slots] += mixed[rows].T[:, :, None] * table[rows]
-    # real and imaginary parts stacked, so each product is a real one
-    fold = np.concatenate([fold.real, fold.imag], axis=1)               # (T, 2(N + 1), 2n)
-    # the top block S = N/2 lists every projection once, in slot order
-    to_ring = p.layout.phases()[:, :nslots].conj()                     # (P, N + 1)
+        part = mixed[rows].T[:, :, None]
+        fold[:, 0, slots] += part.real * table[rows]
+        fold[:, 1, slots] += part.imag * table[rows]
+    fold = fold.reshape(ring_weights.size, 2 * nslots, -1)              # (T, 2(N + 1), 2n)
+    # the top block S = N/2 alone lists every projection once, in slot order
+    to_ring = _tower_phases(HalfInt(code.nspins), code.nspins, size).conj()  # (P, N + 1)
 
     def ring_probabilities(x: np.ndarray) -> np.ndarray:
         g = fold @ _half_angle_terms(x, code.nspins)                    # (T, 2(N + 1), nodes)
-        return ((size * ring_weights)[:, None] * np.sum(np.square(g), axis=1)).T
+        return ((size * ring_weights)[:, None] * np.sum(np.square(g, out=g), axis=1)).T
 
     coef = chebyshev.chebinterpolate(ring_probabilities, code.nspins).T  # (T, N + 1)
 
@@ -320,7 +315,7 @@ def _ring_sampler(code: MultiRepState, p: FinitePovm):
         if not worst <= 1e-8:
             raise RuntimeError(
                 f"a ring's outcome probabilities differ from its fitted probability by "
-                f"{worst:.3e}; the POVM's ring layout does not hold on this code space")
+                f"{worst:.3e}; the grid POVM does not resolve the identity on this code space")
         out = np.empty(x.size, dtype=np.intp)
         out[order] = ring * size + _first_reaching(base + _running_sum(probs), u[order])
         return out
@@ -328,14 +323,15 @@ def _ring_sampler(code: MultiRepState, p: FinitePovm):
     return draw
 
 
-def simulate(code: MultiRepState, p: FinitePovm, shots: int, seed: int) -> tuple[float, float]:
+def simulate(code: MultiRepState, p: FinitePovm | RingPovm, shots: int,
+             seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the mean fidelity.
 
     Parameters
     ----------
     code : MultiRepState
         Encoding family to sample.
-    p : FinitePovm
+    p : FinitePovm or RingPovm
         Decoding measurement; outcome i fires with probability
         w_i |<A(n)|s_i>|^2 and scores (1 + n.g_i)/2.
     shots : int
@@ -361,48 +357,42 @@ def simulate(code: MultiRepState, p: FinitePovm, shots: int, seed: int) -> tuple
     Notes
     -----
     Each shot fires the first outcome whose cumulative probability reaches
-    a uniform u, on one of two paths chosen from the input. Both read the
-    Wigner-d columns from fixed half-angle Fourier tables
-    (:func:`spinlab.su2._d_fourier`) times cos and sin of k theta/2 built by
-    angle addition from the drawn cos(theta), and the phases e^{-i m phi}
-    as powers of e^{i phi}, so the draw calls no trigonometric function of
-    theta:
+    a uniform u. Both paths read the Wigner-d columns from fixed half-angle
+    Fourier tables (:func:`spinlab.su2._d_fourier`) times cos and sin of
+    k theta/2 built by angle addition from the drawn cos(theta), and the
+    phases e^{-i m phi} as powers of e^{i phi}, so the draw calls no
+    trigonometric function of theta:
 
-    * Ring path, for a POVM whose :class:`RingLayout` covers the code's own
-      tower (sn, N), as :func:`quadrature_povm` declares. The T ring
-      probabilities are fitted Chebyshev series in cos(theta), so a shot
-      costs (N + 1) T for its ring, one product of its ring's real
-      (2(N + 1), 2n) table with its 2n <= N + 2 half-angle terms, and
-      (N + 1) P for the P outcomes on its ring. Memory and work per shot
-      are O(T + P + N), free of the dimension D.
-    * Generic path, for every other POVM (the octahedron, projector pairs,
-      POVMs built by hand): the D d-column values, then all K overlaps
-      with the code state, K D complex products per shot, and a K-long
-      cumulative sum.
+    * Ring path (:func:`_ring_sampler`), for a :class:`RingPovm` on the
+      code's own tower (sn, N): (N + 1) T operations for the ring, one
+      product of its (2(N + 1), 2n) table with 2n <= N + 2 half-angle terms
+      and (N + 1) P for its P outcomes, so O(T + P + N) per shot, free of D.
+    * Generic path (:func:`_generic_sampler`), for every other POVM and for
+      the rows of a ring POVM on another tower: K D complex products and a
+      K-long cumulative sum per shot.
 
     Both paths pick the same outcome except when u lies within rounding
     (about 1e-16) of a cumulative boundary. On one 2 MB-L2 Xeon core with
-    one BLAS thread a whole call costs about 0.2 us per shot for the
-    octahedron, 0.6 us for the N = 12 grid and 3 us at N = 40, the random
-    draws and the score included.
+    one BLAS thread a call costs about 0.2 us per shot for the octahedron,
+    0.6 us for the N = 12 grid and 3 us at N = 40, draws and score included.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if p.dim != code.dim:
         raise ValueError("POVM and code dimensions differ")
     rng = np.random.default_rng(seed)
-    layout = p.layout
-    if layout is not None and (layout.sn, layout.nspins) == (code.sn, code.nspins):
+    if isinstance(p, RingPovm) and (p.sn, p.nspins) == (code.sn, code.nspins):
         draw = _ring_sampler(code, p)
-        footprint = p.weights.size // layout.ring_size + layout.ring_size + code.nspins + 1
+        footprint = p.weights.size + p.ring_size + code.nspins + 1
+        guesses = _turned_about_z(p.guesses, p.ring_size)
     else:
+        p = p.rows() if isinstance(p, RingPovm) else p
         draw = _generic_sampler(code, p)
         footprint = p.weights.size + code.dim
+        guesses = p.guesses
     width = max(1, _BUDGET // footprint)
-    gx, gy, gz = np.ascontiguousarray(p.guesses.T)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
+    gx, gy, gz = np.ascontiguousarray(guesses.T)
+    total, total_sq, done = 0.0, 0.0, 0
     while done < shots:
         k = min(_CHUNK, shots - done)
         cos_th = rng.uniform(-1.0, 1.0, k)

@@ -158,23 +158,23 @@ def _projection_values(s: HalfInt) -> np.ndarray:
     return np.arange(s.twice, -s.twice - 1, -2) / 2.0
 
 
+# a few spins: wigner_small_d over all columns of a spin solves its T once
+@lru_cache(maxsize=4)
 def _sy_tridiagonal(twice: int, index: int | None = None
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Checked eigenpairs of the real tridiagonal form T of S_y for spin twice/2.
 
     S_y = diag(i^k) T diag(i^k)^dagger in the descending basis k = S - m; T
     has zero diagonal and off-diagonals sqrt(S(S+1) - m'(m'+1))/2 for
-    m' = -S, ..., S - 1, a list that reads the same backwards. With index
-    None every pair comes from numpy.linalg.eigh of the dense T, in O(S^3);
-    otherwise the one pair of eigenvalue index - S comes from LAPACK's
-    bisection and inverse iteration (scipy.linalg.eigh_tridiagonal), in O(S).
+    m' = -S, ..., S - 1. With index None every pair comes from
+    numpy.linalg.eigh of the dense T, in O(S^3); otherwise the one pair of
+    eigenvalue index - S from scipy.linalg.eigh_tridiagonal, in O(S).
 
-    Returns (lam, vecs, fold): the eigenvalues, the real eigenvectors as
-    columns, and fold[i] = |2i - 2S| // 2, the harmonic k = |2 lam| of
-    lam = i - S as an index into k = 2S mod 2, 2S mod 2 + 2, ..., 2S.
+    Returns (lam, vecs, fold), frozen and shared: the eigenvalues, the real
+    eigenvectors as columns, and fold[i] = |2i - 2S| // 2, the harmonic
+    k = |2 lam| of lam = i - S as an index into k = 2S mod 2, ..., 2S.
     Raises RuntimeError unless each eigenvalue is within 1e-9 of i - S and
-    each eigenvector's squares sum to 1 within 1e-12 (the full solve at
-    2S = 1000 and 1001 is off by at most 1.7e-13 and 2.9e-15).
+    each eigenvector's squares sum to 1 within 1e-12.
     """
     mp = np.arange(-twice, twice, 2)  # 2m' for m' = -S, ..., S - 1
     off = np.sqrt((twice - mp) * (twice + mp + 2.0)) / 4.0
@@ -192,7 +192,10 @@ def _sy_tridiagonal(twice: int, index: int | None = None
         raise RuntimeError(
             f"S_y tridiagonal eigenpairs for 2S = {twice} are off: eigenvalues by "
             f"{lam_err:.3e}, squared norms by {norm_err:.3e}")
-    return lam, vecs, np.abs(np.arange(-twice, twice + 1, 2)) // 2
+    out = lam, vecs, np.abs(np.arange(-twice, twice + 1, 2)) // 2
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 # one vector of floor(S) + 1 floats per (spin, projection): a 1000-spin tower
@@ -207,13 +210,9 @@ def _d_diagonal_cosines(twice: int, twice_m: int) -> np.ndarray:
     d^S_{m,m}(theta) = sum_lam w_lam cos(lam theta), w_lam = |V[m, lam]|^2
     (the sines cancel since w_lam = w_-lam), and c[i] folds the pair
     lam = +-k_i/2. A quarter turn about x takes S_y to S_z and S_z to -S_y,
-    so w_lam = |<S,lam|u>|^2 for the eigenvector u of S_y at eigenvalue -m;
-    the one at m carries the same weights mirrored, lam -> -lam, which the
-    fold cannot tell apart. Up to the phases diag(i^k), that u is the
-    eigenvector of the real tridiagonal form of S_y (:func:`_sy_tridiagonal`)
-    at eigenvalue m, one vector in O(S), with no dense eigenbasis.
-
-    Raises RuntimeError as :func:`_sy_tridiagonal` does.
+    so w_lam = |<S,lam|u>|^2 for the eigenvector u of S_y at eigenvalue -m,
+    or mirrored, which the fold cannot tell apart, at m: up to phases, the
+    one vector of :func:`_sy_tridiagonal` at m, which raises as it does.
     """
     _, vec, fold = _sy_tridiagonal(twice, (twice + twice_m) // 2)
     c = np.bincount(fold, weights=vec[:, 0] ** 2)
@@ -221,26 +220,21 @@ def _d_diagonal_cosines(twice: int, twice_m: int) -> np.ndarray:
     return c
 
 
-# exact sphere grids, grid POVMs and the sampler read one table per block of a
-# tower, all under the same keys (2S, 2sn): 33 for the largest grid POVM that
-# `simulate` takes (N = 64; 392 kB in all, 34 kB for the top block), 14 for
-# `verify --level full`, and 16 and 14 for the benchmark's routes and sampling
-# workloads, whose warm rounds miss none
-@lru_cache(maxsize=64)
+# grid POVMs, then the sampler, read one table per block of a tower under the
+# same keys (2S, 2sn): 65 blocks for the largest that `simulate` takes
+# (N = 128; 3 MB in all), which a smaller cache would miss on the second pass
+@lru_cache(maxsize=128)
 def _d_fourier(twice: int, twice_mp: int) -> np.ndarray:
     """Column m' of d^S as a real table over half-angle harmonics, frozen and shared.
 
     twice and twice_mp are 2S and 2m'. The Fourier method of Feng, Wang,
     Yang & Jin, PRE 92, 043307 (2015): with S_y = V diag(lam) V^dagger,
-    column m' of exp(-i theta S_y) is real and equals Re(w) cos(theta lam)
-    + Im(w) sin(theta lam) for w = V diag(conj(V[m', :])). V = diag(i^k) U
-    with U real from :func:`_sy_tridiagonal`, so row k of w is
-    i^(k - k') U[k] U[k'], k' the row of m': real for even offsets,
-    imaginary for odd ones. The pairs lam = +-k/2 fold into F of shape
-    (2S+1, 2n), n = floor(S) + 1, with d^S_{m,m'}(theta) =
-    sum_i F[m, i] c_i + F[m, n + i] s_i, where c_i and s_i are the cosine
-    and sine of k_i theta/2, k_i = 2S mod 2 + 2i, as
-    :func:`_half_angle_trig` and :func:`_half_angle_terms` list them.
+    column m' of exp(-i theta S_y) is Re(w) cos(theta lam) + Im(w)
+    sin(theta lam) for w = V diag(conj(V[m', :])). V = diag(i^k) U with U
+    from :func:`_sy_tridiagonal`, so row k of w is i^(k - k') U[k] U[k'],
+    k' the row of m'. The pairs lam = +-k/2 fold into F of shape (2S+1, 2n),
+    n = floor(S) + 1, with d^S_{m,m'}(theta) = sum_i F[m, i] c_i +
+    F[m, n + i] s_i for the harmonics c_i, s_i of :func:`_half_angle_trig`.
     """
     lam, u, fold = _sy_tridiagonal(twice)
     col = (twice - twice_mp) // 2
@@ -314,9 +308,7 @@ def wigner_small_d(s, m, mp, theta):
 
     Notes
     -----
-    Reads row m of the column table :func:`_d_fourier` (the Fourier
-    method of Feng, Wang, Yang & Jin, PRE 92, 043307 (2015), on the real
-    tridiagonal form of S_y from numpy.linalg.eigh, cached per spin and
+    Reads row m of the column table :func:`_d_fourier` (cached per spin and
     column) times cos and sin of k theta/2 (:func:`_half_angle_trig`), so
     each angle costs O(S). No sum cancels, so the elements stay unitary to
     rounding; the tests hold columns to 1e-13 up to 2S = 401, and

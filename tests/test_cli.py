@@ -94,7 +94,7 @@ def test_verify_fast_green(capsys):
     fast = [c.name for c in cli.run_verify("fast")]
     full = [c.name for c in cli.run_verify("full")]
     assert [line.split()[1].rstrip(":") for line in lines[:-1]] == fast
-    assert len(fast) == 47 and len(full) == 100
+    assert len(fast) == 47 and len(full) == 101
     assert len(set(full)) == len(full)
     assert full[:47] == fast
     assert fast[0] == full[0] == "fidelity_closed_n1"
@@ -136,7 +136,7 @@ def test_verify_reports_failed_yes_no_claim(monkeypatch, capsys):
     assert code == 1
     lines = out.splitlines()
     assert "FAIL asymptotic_monotone: fidelity strictly increasing to N=200" in lines
-    assert lines[-1] == "100 checks, 99 passed, 1 failed"
+    assert lines[-1] == "101 checks, 100 passed, 1 failed"
 
 
 def test_simulate_grid_row(capsys):
@@ -156,6 +156,14 @@ def test_simulate_grid_row(capsys):
 def test_simulate_large_grid_row(capsys):
     # 3844 outcomes over a 961-dimensional tower: needs a stable Wigner kernel
     code, out = run_cli(["simulate", "--n", "60", "--shots", "200", "--seed", "1"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert abs(float(rows[0]["z_score"])) < 5.0
+
+
+def test_simulate_grid_row_at_the_cap(capsys):
+    # 16900 outcomes over a 4225-dimensional tower, held as 130 ring states
+    code, out = run_cli(["simulate", "--n", "128", "--shots", "20000", "--seed", "5"], capsys)
     assert code == 0
     _, rows = parse_csv(out)
     assert abs(float(rows[0]["z_score"])) < 5.0
@@ -303,7 +311,7 @@ def test_asymptotic_output(capsys):
     ["asymptotic", "--max-n", "9"],
     ["bogus"],
     [],
-    ["simulate", "--n", "65"],
+    ["simulate", "--n", "129"],
     ["simulate", "--seed", "-1"],
     ["table", "--max-n", "3", "--out", os.path.join(os.devnull, "x.csv")],
     ["verify", "--out", os.curdir],

@@ -7,7 +7,7 @@ import pytest
 
 from spinlab import fidelity, povm
 from spinlab.codes import (AlphaFamily, DensityMatrix, MultiRepState, _block_amplitudes,
-                           alpha_code, alpha_state, code_state, coherent_code,
+                           _ring_rows, alpha_code, alpha_state, code_state, coherent_code,
                            decoder_coefficients, decoder_state, exact_sphere,
                            grid_unit_vectors, matched_decoder, minimal_sn,
                            source_density, sphere_grid, von_neumann_entropy)
@@ -201,6 +201,23 @@ def test_exact_sphere_rows_are_per_point_states(code):
     assert np.array_equal(w, gw)
     assert np.array_equal(vecs, grid_unit_vectors(th, ph))
     assert np.max(np.abs(states - _block_amplitudes(code, th, ph).T)) <= 1e-14
+
+
+def test_ring_rows_turn_states_and_vectors_about_z():
+    # spins 3/2 and 1/2: point j P + l is ring j rotated by exp(-i phi_l J_z)
+    rng = np.random.default_rng(3)
+    states = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
+    vecs = rng.normal(size=(4, 3))  # off the xz plane, unlike grid rings
+    rows, turned = _ring_rows(HalfInt(1), 3, 5, states, vecs)
+    m = np.array([1.5, 0.5, -0.5, -1.5, 0.5, -0.5])
+    for j in range(4):
+        for l in range(5):
+            phi = 2.0 * math.pi * l / 5
+            c, s = math.cos(phi), math.sin(phi)
+            turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+            assert np.allclose(rows[5 * j + l], states[j] * np.exp(-1j * m * phi),
+                               rtol=0.0, atol=1e-14)
+            assert np.allclose(turned[5 * j + l], turn @ vecs[j], rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("average", [

@@ -7,17 +7,13 @@ import pytest
 
 from spinlab import povm
 from spinlab.codes import (AlphaFamily, MultiRepState, _block_amplitudes, alpha_code,
-                           coherent_code, decoder_coefficients, minimal_sn, sphere_grid)
+                           coherent_code, decoder_coefficients, grid_unit_vectors,
+                           minimal_sn, sphere_grid)
 from spinlab.fidelity import fidelity_quadrature, max_fidelity_rotation
-from spinlab.povm import (FinitePovm, RingLayout, check_identity, octahedron_povm,
+from spinlab.povm import (FinitePovm, RingPovm, check_identity, octahedron_povm,
                           povm_fidelity_exact, quadrature_povm, simulate,
                           von_neumann_pair)
 from spinlab.su2 import Direction, HalfInt, X_AXIS
-
-
-def _without_layout(p):
-    """The same three arrays as a POVM that takes the generic sampling path."""
-    return FinitePovm(p.dim, p.weights, p.states, p.guesses)
 
 
 def _forbidden(*args):
@@ -64,39 +60,61 @@ def test_finite_povm_arrays_are_read_only():
 
 @pytest.mark.parametrize("nspins", [*range(1, 7), 20])
 def test_quadrature_povm_resolves_identity(nspins):
+    # per projection on the rings, and by the dense Gram matrix of the rows
     p = quadrature_povm(minimal_sn(nspins), nspins)
     assert check_identity(p) < 1e-10
-    assert p.weights.sum() == pytest.approx(p.dim, abs=1e-10)
+    assert check_identity(p.rows()) < 1e-10
+    assert p.ring_size * p.weights.sum() == pytest.approx(p.dim, abs=1e-10)
 
 
 @pytest.mark.parametrize("nspins", [1, 2, 7, 20])
 def test_quadrature_povm_rows_are_grid_decoder_states(nspins):
     # one Wigner-d column per ring times the azimuth phases gives the decoder
-    # state at every grid point, and the POVM declares that layout
+    # state at every grid point, and the ring guesses turn onto the grid
     sn = minimal_sn(nspins)
     p = quadrature_povm(sn, nspins)
-    assert p.layout == RingLayout(sn, nspins, nspins + 2)
+    assert (p.sn, p.nspins, p.ring_size) == (sn, nspins, nspins + 2)
+    assert p.states.shape == (nspins + 2, p.dim)
     family = MultiRepState(sn, nspins, decoder_coefficients(sn, nspins).astype(complex))
-    _, th, ph = sphere_grid(nspins + 2, nspins + 2)
-    assert np.max(np.abs(p.states - _block_amplitudes(family, th, ph).T)) <= 1e-14
+    w, th, ph = sphere_grid(nspins + 2, nspins + 2)
+    rows = p.rows()
+    assert np.array_equal(rows.weights, p.dim * w)
+    assert np.max(np.abs(rows.states - _block_amplitudes(family, th, ph).T)) <= 1e-14
+    assert np.array_equal(rows.guesses, grid_unit_vectors(th, ph))
 
 
-def test_ring_layout_is_checked_against_rows():
+def test_ring_povm_constructor_checks():
     p = quadrature_povm(HalfInt(0), 2)  # 4 rings of 4 outcomes, dimension 4
-    assert _without_layout(p).layout is None
-    swapped = p.states.copy()
-    swapped[[1, 2]] = swapped[[2, 1]]  # two azimuths of ring 0 trade places
-    with pytest.raises(ValueError):
-        FinitePovm(p.dim, p.weights, swapped, p.guesses, p.layout)
-    uneven = p.weights.copy()
-    uneven[0] *= 1.5  # one outcome of a ring weighs more than its neighbours
-    with pytest.raises(ValueError):
-        FinitePovm(p.dim, uneven, p.states, p.guesses, p.layout)
-    for layout in (RingLayout(HalfInt(0), 2, 8),   # rings of 8 cut across the rows
-                   RingLayout(HalfInt(0), 2, 2),   # 2 azimuths cannot separate m = -1..1
-                   RingLayout(HalfInt(2), 2, 4)):  # a tower of dimension 3, not 4
+    args = (p.weights, p.states, p.guesses)
+    assert isinstance(p, RingPovm) and RingPovm(HalfInt(0), 2, 3, *args).dim == 4
+    with pytest.raises(ValueError, match="outcomes per ring"):
+        RingPovm(HalfInt(0), 2, 2, *args)  # 2 azimuths cannot separate m = -1..1
+    with pytest.raises(ValueError, match="states must have shape"):
+        RingPovm(HalfInt(2), 2, 4, *args)  # a tower of dimension 3, not 4
+    with pytest.raises(ValueError, match="incompatible"):
+        RingPovm(HalfInt(1), 2, 4, *args)  # sn = 1/2 is not in the tower of N = 2
+    unnormalised = p.states.copy()
+    unnormalised[1] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="states must be unit vectors"):
+        RingPovm(HalfInt(0), 2, 4, p.weights, unnormalised, p.guesses)
+    with pytest.raises(ValueError, match="guesses must be unit vectors"):
+        RingPovm(HalfInt(0), 2, 4, p.weights, p.states, 2.0 * p.guesses)
+    for arr in (p.weights, p.states, p.guesses):
         with pytest.raises(ValueError):
-            FinitePovm(p.dim, p.weights, p.states, p.guesses, layout)
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize("nspins", [2, 3, 8])
+def test_ring_identity_check_matches_dense_gram(nspins):
+    # one ring weighing 1.5 times its share breaks the identity; the check
+    # per projection and the dense Gram matrix of the rows must agree
+    grid = quadrature_povm(minimal_sn(nspins), nspins)
+    weights = grid.weights.copy()
+    weights[1] *= 1.5
+    p = RingPovm(grid.sn, nspins, grid.ring_size, weights, grid.states, grid.guesses)
+    ring, dense = check_identity(p), check_identity(p.rows())
+    assert ring > 0.01
+    assert ring == pytest.approx(dense, abs=1e-12)
 
 
 def test_octahedron_structure():
@@ -185,8 +203,7 @@ def test_simulate_crosses_chunk_boundary_deterministically():
 def test_simulate_sub_blocks_match_whole_chunk(monkeypatch):
     _, code = max_fidelity_rotation(3)
     ring = quadrature_povm(minimal_sn(3), 3)  # 25 outcomes, dimension 6
-    assert ring.layout is not None
-    for p in (ring, _without_layout(ring)):
+    for p in (ring, ring.rows()):
         whole = simulate(code, p, 5000, 9)
         with monkeypatch.context() as patch:
             # 626 shots per sub-block on the generic path, 1387 on the ring path
@@ -209,7 +226,7 @@ def test_simulate_seeded_values_pinned():
 def test_ring_path_draws_what_the_generic_path_draws(nspins, monkeypatch):
     _, code = max_fidelity_rotation(nspins)
     p = quadrature_povm(minimal_sn(nspins), nspins)
-    want = simulate(code, _without_layout(p), 3000, nspins)
+    want = simulate(code, p.rows(), 3000, nspins)
     monkeypatch.setattr(povm, "_generic_sampler", _forbidden)
     assert simulate(code, p, 3000, nspins) == want
 
@@ -217,15 +234,15 @@ def test_ring_path_draws_what_the_generic_path_draws(nspins, monkeypatch):
 def test_ring_path_with_complex_code_on_finer_grid(monkeypatch):
     code = alpha_code(AlphaFamily(0.6, 1.1))
     p = quadrature_povm(HalfInt(0), 2)
-    want = simulate(code, _without_layout(p), 20_000, 4)
+    want = simulate(code, p.rows(), 20_000, 4)
     monkeypatch.setattr(povm, "_generic_sampler", _forbidden)
     assert simulate(code, p, 20_000, 4) == want
 
 
 @pytest.mark.parametrize("nspins", [3, 5, 8])
 def test_ring_path_with_complex_codes_and_ring_states(nspins, monkeypatch):
-    # a phase per tower component keeps the ring layout and the identity
-    # resolution but makes the ring states complex, without the m <-> -m
+    # a phase per tower component keeps the identity resolution but makes
+    # the ring states complex, without the m <-> -m
     # symmetry of the grid decoder; with a complex multi-block code the
     # ring tables must then carry every phase exactly
     rng = np.random.default_rng(nspins)
@@ -234,20 +251,19 @@ def test_ring_path_with_complex_codes_and_ring_states(nspins, monkeypatch):
     c = rng.normal(size=blocks) * np.exp(2j * math.pi * rng.random(blocks))
     code = MultiRepState(sn, nspins, c / np.linalg.norm(c))
     grid = quadrature_povm(sn, nspins)
-    p = FinitePovm(grid.dim, grid.weights,
-                   grid.states * np.exp(2j * math.pi * rng.random(grid.dim)),
-                   grid.guesses, grid.layout)
-    want = simulate(code, _without_layout(p), 20_000, 2)
+    p = RingPovm(sn, nspins, grid.ring_size, grid.weights,
+                 grid.states * np.exp(2j * math.pi * rng.random(grid.dim)), grid.guesses)
+    want = simulate(code, p.rows(), 20_000, 2)
     monkeypatch.setattr(povm, "_generic_sampler", _forbidden)
     assert simulate(code, p, 20_000, 2) == want
 
 
 def test_ring_path_needs_the_codes_own_tower(monkeypatch):
     # the two-spin grid POVM resolves the identity of any four-dimensional
-    # space, but its layout describes the tower (sn, N) = (0, 2), not that
-    # of the spin-3/2 coherent code, so the generic path samples it
+    # space, but its rings are built on the tower (sn, N) = (0, 2), not on
+    # that of the spin-3/2 coherent code, so the generic path samples its rows
     p = quadrature_povm(HalfInt(0), 2)
-    want = simulate(coherent_code(4), _without_layout(p), 2000, 1)
+    want = simulate(coherent_code(4), p.rows(), 2000, 1)
     monkeypatch.setattr(povm, "_ring_sampler", _forbidden)
     assert simulate(coherent_code(4), p, 2000, 1) == want
 
@@ -256,8 +272,8 @@ def test_simulate_rejects_scaled_ring(monkeypatch):
     _, code = max_fidelity_rotation(3)
     p = quadrature_povm(minimal_sn(3), 3)
     weights = p.weights.copy()
-    weights[5:10] *= 1.5  # all of ring 1: the layout holds, the identity does not
-    scaled = FinitePovm(p.dim, weights, p.states, p.guesses, p.layout)
+    weights[1] *= 1.5  # all of ring 1: the rings hold, the identity does not
+    scaled = RingPovm(p.sn, p.nspins, p.ring_size, weights, p.states, p.guesses)
     monkeypatch.setattr(povm, "_generic_sampler", _forbidden)
     with pytest.raises(RuntimeError, match="sum to 1"):
         simulate(code, scaled, 1000, 0)
@@ -307,7 +323,7 @@ def test_simulate_ring_check_catches_nan(monkeypatch):
 
 def _random_povm(dim, count, seed):
     """A rank-one POVM from `count` random complex vectors, made to resolve
-    the identity by G^(-1/2), with random unit guesses; no ring layout."""
+    the identity by G^(-1/2), with random unit guesses; no rings."""
     rng = np.random.default_rng(seed)
     vecs = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
     vals, basis = np.linalg.eigh(vecs.T @ vecs.conj())
@@ -327,7 +343,7 @@ def test_generic_path_draws_the_reference_outcomes():
     c = rng.normal(size=3) + 1j * rng.normal(size=3)
     code = MultiRepState(HalfInt(1), 5, c / np.linalg.norm(c))          # spins 5/2, 3/2, 1/2
     p = _random_povm(code.dim, 17, 6)
-    assert p.layout is None and check_identity(p) < 1e-12
+    assert check_identity(p) < 1e-12
     x = np.concatenate([[-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, 4997)])
     ph = rng.uniform(0.0, 2.0 * math.pi, x.size)
     u = rng.random(x.size)

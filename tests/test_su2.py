@@ -205,14 +205,17 @@ def test_sy_tridiagonal_guard_raises(solve, fault, monkeypatch):
             return lam + 2e-9, vecs
         return lam, vecs * (1.0 + 1e-12)
 
-    build.cache_clear()
+    caches = (build, su2._sy_tridiagonal)  # the eigenpairs are cached as well
+    for cache in caches:
+        cache.cache_clear()
     monkeypatch.setattr(module, name, faulty)
     try:
         with pytest.raises(RuntimeError, match="eigenpairs"):
             build(7, 1)
     finally:
         monkeypatch.undo()
-        build.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
     # at theta = 0 both read d^S_{m,m} = 1 on the diagonal
     assert wigner_small_d(HalfInt(7), HalfInt(1), HalfInt(1), 0.0) == pytest.approx(1.0, abs=1e-14)
     assert su2._d_diagonal_cosines(7, 1).sum() == pytest.approx(1.0, abs=1e-14)
@@ -240,6 +243,32 @@ def test_diagonal_cosines_are_read_only():
     assert not c.flags.writeable
     with pytest.raises(ValueError):
         c[0] = 0.0
+
+
+def test_whole_d_matrix_solves_its_spin_once(monkeypatch):
+    # element by element, m outer and m' inner, every column table of one
+    # spin reads the eigenpairs of a single dense solve of its tridiagonal S_y
+    solver = np.linalg.eigh
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return solver(*args, **kwargs)
+
+    caches = (su2._d_fourier, su2._sy_tridiagonal)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    try:
+        s = HalfInt(100)
+        d = np.array([[wigner_small_d(s, m, mp, 0.9) for mp in projections(s)]
+                      for m in projections(s)])
+    finally:
+        monkeypatch.undo()
+        for cache in caches:
+            cache.cache_clear()
+    assert calls == [(101, 101)]
+    assert np.max(np.abs(d @ d.T - np.eye(101))) < 1e-13
 
 
 def test_wigner_small_d_scalar_and_shape():
