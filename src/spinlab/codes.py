@@ -321,11 +321,31 @@ def exact_sphere(a: MultiRepState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (np.repeat(w, size), *_ring_rows(a.sn, a.nspins, size, states, vecs))
 
 
+def _projection_blocks(sn: HalfInt, nspins: int, count: int, weights: np.ndarray,
+                       states: np.ndarray):
+    """Blocks of sum_k w_k |s_k><s_k| over the points of :func:`_ring_rows`: T rings
+    of count >= N + 1 points, each point of ring j with weight ``weights[j]`` and
+    ring j's state R_j = ``states[j]`` (T, D) at azimuth 0.
+
+    Parseval over each ring's azimuths makes the sum block-diagonal in the
+    projection m. Yields, one pair per m, the indices of the components of
+    projection m and the block count sum_j w_j R_j[S, m] conj(R_j[S', m]).
+    """
+    m = _tower_projections(sn, nspins)
+    for value in np.unique(m):
+        idx = np.flatnonzero(m == value)
+        ring = states[:, idx]
+        yield idx, (ring.T * (count * weights)) @ ring.conj()
+
+
 def source_density(a: MultiRepState) -> DensityMatrix:
     """Average of |A(n)><A(n)| over uniformly distributed directions, taken
-    exactly on :func:`exact_sphere`."""
-    w, states, _ = exact_sphere(a)
-    return DensityMatrix((states.T * w) @ states.conj())
+    exactly on :func:`exact_sphere`, one projection block at a time."""
+    size, w, states, _ = _exact_rings(a)
+    rho = np.zeros((a.dim, a.dim), dtype=complex)
+    for idx, block in _projection_blocks(a.sn, a.nspins, size, w, states):
+        rho[np.ix_(idx, idx)] = block
+    return DensityMatrix(rho)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

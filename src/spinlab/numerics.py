@@ -1,8 +1,13 @@
 """Quadrature rules, orthogonal polynomials, and small eigensolvers.
 
 Everything works in plain float64. The symmetric tridiagonal top eigenpair
-is computed by hand (Sturm counts plus inverse iteration) so that it stays
-independent of the LAPACK-backed dense path it is cross-checked against.
+is computed by hand (Barth, Martin & Wilkinson, Numer. Math. 9, 1967) so
+that it stays independent of the LAPACK-backed dense path it is
+cross-checked against: one Sturm-count bisection for the top eigenvalue,
+one more Sturm count for the gap below it, and inverse iteration for the
+eigenvector. Those scalar loops run on Python lists of floats, which are
+IEEE binary64 like numpy's float64 but several times cheaper to index one
+element at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ __all__ = [
     "bessel_j0_first_zero",
     "gauss_legendre",
     "hermitian_eigensystem",
+    "hermitian_eigenvalues",
     "jacobi01_eval",
     "largest_zero",
     "legendre_eval",
@@ -188,62 +194,72 @@ def largest_zero(kind: str, l: int) -> float:
 _PIVMIN = 1e-292
 
 
-def _count_below(diag: np.ndarray, off_sq: np.ndarray, x: float) -> int:
-    """Number of eigenvalues strictly below x, from the Sturm pivot signs."""
+def _count_below(diag: list[float], coupling: list[float], x: float) -> int:
+    """Number of eigenvalues strictly below x, from the Sturm pivot signs.
+
+    coupling[i] is the squared off-diagonal entry joining row i to row
+    i - 1, with coupling[0] = 0. Both are plain lists: the loop reads one
+    scalar per row, and numpy's element access costs several times the
+    arithmetic.
+    """
+    pivmin = _PIVMIN
     count = 0
     q = 1.0
-    for i in range(diag.size):
-        q = (diag[i] - x) - (off_sq[i - 1] / q if i else 0.0)
-        if abs(q) < _PIVMIN:
-            q = -_PIVMIN
+    for d, c in zip(diag, coupling):
+        q = (d - x) - c / q
+        if abs(q) < pivmin:
+            q = -pivmin
         if q < 0.0:
             count += 1
     return count
 
 
-def _bisect_kth(diag, off_sq, k: int, lo: float, hi: float, tol: float) -> float:
+def _bisect_kth(diag, coupling, k: int, lo: float, hi: float, tol: float) -> float:
     """k-th smallest eigenvalue (1-based) by bisection on the Sturm count."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _count_below(diag, off_sq, mid) >= k:
+        if _count_below(diag, coupling, mid) >= k:
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
 
 
-def _solve_shifted(diag, off, shift: float, rhs) -> np.ndarray:
-    """Solve (T - shift*I) x = rhs for symmetric tridiagonal T.
+def _solve_shifted(diag: list[float], off: list[float], shift: float,
+                   rhs: list[float]) -> list[float]:
+    """Solve (T - shift*I) x = rhs for symmetric tridiagonal T, on plain lists.
 
     Gaussian elimination with partial pivoting; row swaps introduce at most
     one extra superdiagonal of fill-in. Safe to call with a shift that makes
     the system nearly singular, which is exactly the inverse-iteration case.
     """
-    n = diag.size
-    y = np.array(rhs, dtype=float)
-    u0 = np.zeros(n)
-    u1 = np.zeros(n)
-    u2 = np.zeros(n)
-    # active row i spans columns i, i+1, i+2
-    cur = [diag[0] - shift, off[0] if n > 1 else 0.0, 0.0]
-    for i in range(n - 1):
-        nxt = [off[i], diag[i + 1] - shift, off[i + 1] if i + 1 < n - 1 else 0.0]
-        if abs(nxt[0]) > abs(cur[0]):
-            cur, nxt = nxt, cur
-            y[i], y[i + 1] = y[i + 1], y[i]
-        piv = cur[0] if cur[0] != 0.0 else _PIVMIN
-        m = nxt[0] / piv
-        u0[i], u1[i], u2[i] = piv, cur[1], cur[2]
-        y[i + 1] -= m * y[i]
-        cur = [nxt[1] - m * cur[1], nxt[2] - m * cur[2], 0.0]
-    u0[n - 1] = cur[0] if cur[0] != 0.0 else _PIVMIN
-    x = np.zeros(n)
-    x[n - 1] = y[n - 1] / u0[n - 1]
-    for i in range(n - 2, -1, -1):
-        acc = y[i] - u1[i] * x[i + 1]
-        if i + 2 < n:
-            acc -= u2[i] * x[i + 2]
-        x[i] = acc / u0[i]
+    u0, u1, u2, y = [], [], [], []  # the rows of U and the eliminated rhs
+    # the active row i spans columns i, i+1, i+2 as (c0, c1, c2), with rhs
+    # entry yc; the next row is (n0, n1, n2), with rhs entry yn
+    c0, c1, c2 = diag[0] - shift, off[0] if off else 0.0, 0.0
+    yc = rhs[0]
+    for n0, d, n2, yn in zip(off, diag[1:], off[1:] + [0.0], rhs[1:]):
+        n1 = d - shift
+        if abs(n0) > abs(c0):
+            c0, c1, c2, n0, n1, n2 = n0, n1, n2, c0, c1, c2
+            yc, yn = yn, yc
+        piv = c0 if c0 != 0.0 else _PIVMIN
+        m = n0 / piv
+        u0.append(piv)
+        u1.append(c1)
+        u2.append(c2)
+        y.append(yc)
+        yc = yn - m * yc
+        c0, c1, c2 = n1 - m * c1, n2 - m * c2, 0.0
+    # back substitution from the last row; the fill-in slot of row n - 2
+    # lies past the last column and holds +0.0, so against x2 = 0 it
+    # subtracts nothing
+    x1, x2 = yc / (c0 if c0 != 0.0 else _PIVMIN), 0.0
+    x = [x1]
+    for a, b1, b2, yi in zip(reversed(u0), reversed(u1), reversed(u2), reversed(y)):
+        x1, x2 = (yi - b1 * x1 - b2 * x2) / a, x1
+        x.append(x1)
+    x.reverse()
     return x
 
 
@@ -255,52 +271,74 @@ def _tridiag_apply(diag, off, v) -> np.ndarray:
     return out
 
 
+def _inverse_iteration(m: Tridiag, lam: float, shift: float, scale: float) -> np.ndarray | None:
+    """Unit eigenvector of m for lam from at most five solves with m - shift*I.
+
+    Returns None if a solve overflows, so that its norm is not finite: an
+    exactly singular pivot in a decoupled block grows the solution by
+    1/_PIVMIN.
+    """
+    diag, off = m.diag.tolist(), m.offdiag.tolist()
+    v = [1.0 / math.sqrt(m.size)] * m.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(5):
+            w = np.array(_solve_shifted(diag, off, shift, v))
+            norm = float(np.linalg.norm(w))
+            if not 0.0 < norm < math.inf:
+                return None
+            v = w / norm
+            resid = float(np.max(np.abs(_tridiag_apply(m.diag, m.offdiag, v) - lam * v)))
+            if resid <= 1e-12 * scale:
+                return v
+            v = v.tolist()
+    raise RuntimeError("inverse iteration did not converge")
+
+
 def tridiag_max_eigenpair(m: Tridiag) -> tuple[float, np.ndarray]:
     """Largest eigenvalue and its unit eigenvector.
 
-    The eigenvalue comes from Sturm-count bisection to absolute width 1e-13
-    (relative to the Gershgorin scale), the eigenvector from inverse
-    iteration. The eigenvector sign is fixed so its first nonzero entry is
-    positive.
+    The eigenvalue comes from one Sturm-count bisection to absolute width
+    1e-13 (relative to the Gershgorin scale); one more Sturm count, at
+    1e-10 below it, tests the gap to the second eigenvalue. The eigenvector
+    comes from inverse iteration at the eigenvalue, retried a bisection
+    width above it if the solve overflows. Its sign is fixed so its first
+    nonzero entry is positive. The scalar loops run on plain Python floats,
+    which are IEEE binary64 like numpy's float64.
 
     Raises
     ------
     RuntimeError
         If the two largest eigenvalues are closer than 1e-10: the leading
         eigenvector is then numerically ill-defined and callers must not
-        trust it.
+        trust it. Also if inverse iteration does not reach a unit vector
+        with residual 1e-12.
     """
     n = m.size
     if n == 1:
         return float(m.diag[0]), np.ones(1)
-    diag, off = m.diag, m.offdiag
-    off_sq = off * off
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(off)
-    radius[1:] += np.abs(off)
-    lo = float(np.min(diag - radius))
-    hi = float(np.max(diag + radius))
+    diag, off = m.diag.tolist(), m.offdiag.tolist()
+    absoff = [abs(o) for o in off]
+    radius = [a + b for a, b in zip(absoff + [0.0], [0.0] + absoff)]
+    lo = min(d - r for d, r in zip(diag, radius))
+    hi = max(d + r for d, r in zip(diag, radius))
     span = max(hi - lo, 1.0)
     lo -= 1e-6 * span
     hi += 1e-6 * span
     scale = max(1.0, abs(lo), abs(hi))
     tol = 1e-13 * scale
-    lam = _bisect_kth(diag, off_sq, n, lo, hi, tol)
-    second = _bisect_kth(diag, off_sq, n - 1, lo, hi, tol)
-    if lam - second < 1e-10 * scale:
+    coupling = [0.0] + [o * o for o in off]
+    lam = _bisect_kth(diag, coupling, n, lo, hi, tol)
+    if _count_below(diag, coupling, lam - 1e-10 * scale) < n - 1:
+        second = _bisect_kth(diag, coupling, n - 1, lo, hi, tol)
         raise RuntimeError(
             f"top eigenvalues nearly degenerate (gap {lam - second:.3e}); "
             "leading eigenvector is not well defined")
-    v = np.full(n, 1.0 / math.sqrt(n))
-    for _ in range(5):
-        w = _solve_shifted(diag, off, lam, v)
-        v = w / np.linalg.norm(w)
-        resid = float(np.max(np.abs(_tridiag_apply(diag, off, v) - lam * v)))
-        if resid <= 1e-12 * scale:
-            break
-    else:
-        raise RuntimeError("inverse iteration did not converge")
-    for entry in v:
+    v = _inverse_iteration(m, lam, lam, scale)
+    if v is None:
+        v = _inverse_iteration(m, lam, lam + tol, scale)
+    if v is None or not abs(float(v @ v) - 1.0) <= 1e-12:
+        raise RuntimeError("inverse iteration did not reach a unit eigenvector")
+    for entry in v.tolist():
         if abs(entry) > 1e-12:
             if entry < 0.0:
                 v = -v
@@ -308,24 +346,34 @@ def tridiag_max_eigenpair(m: Tridiag) -> tuple[float, np.ndarray]:
     return lam, v
 
 
-def hermitian_eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
+def _hermitian(h) -> np.ndarray:
+    """h as an array, after checking that it is square and Hermitian to 1e-10
+    (a NaN entry fails the check)."""
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")
     dev = float(np.max(np.abs(h - h.conj().T)))
     if not dev <= 1e-10:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    vals, vecs = np.linalg.eigh(h)
+    return h
+
+
+def hermitian_eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
+    vals, vecs = np.linalg.eigh(_hermitian(h))
     return vals, vecs
+
+
+def hermitian_eigenvalues(h) -> np.ndarray:
+    """Eigenvalues (ascending) of a Hermitian matrix, without its eigenvectors."""
+    return np.linalg.eigvalsh(_hermitian(h))
 
 
 def spectral_entropy(h) -> float:
     """Entropy -sum v log2 v in bits over the eigenvalues v of a Hermitian
     matrix; eigenvalues at or below 1e-15 contribute nothing."""
-    vals, _ = hermitian_eigensystem(h)
     total = 0.0
-    for v in vals.real:
+    for v in hermitian_eigenvalues(h).tolist():
         if v > 1e-15:
             total -= v * math.log2(v)
     return total

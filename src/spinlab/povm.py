@@ -15,8 +15,8 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from . import numerics
-from .codes import (MultiRepState, _exact_rings, _ring_rows, _tower_kernel, _tower_phases,
-                    _tower_projections, _turned_about_z, decoder_coefficients, exact_sphere)
+from .codes import (MultiRepState, _exact_rings, _projection_blocks, _ring_rows, _tower_kernel,
+                    _tower_phases, _turned_about_z, decoder_coefficients, exact_sphere)
 from .su2 import Direction, HalfInt, X_AXIS, Y_AXIS, Z_AXIS, _half_angle_terms, rotate_to
 
 # chunk size for vectorized sampling; fixed so a seed gives one stream
@@ -152,14 +152,13 @@ def check_identity(p: FinitePovm | RingPovm) -> float:
     is formed: one block P sum_j w_j R_j[S, m] conj(R_j[S', m]) per m.
     """
     if isinstance(p, FinitePovm):
-        parts = [(p.states, p.weights)]
+        grams = [(p.states.T * p.weights) @ p.states.conj()]
     else:
-        m = _tower_projections(p.sn, p.nspins)
-        parts = [(p.states[:, m == v], p.ring_size * p.weights) for v in np.unique(m)]
+        grams = [block for _, block in _projection_blocks(
+            p.sn, p.nspins, p.ring_size, p.weights, p.states)]
     worst = 0.0
-    for states, weights in parts:
-        gram = (states.T * weights) @ states.conj()
-        vals, _ = numerics.hermitian_eigensystem(gram - np.eye(states.shape[1]))
+    for gram in grams:
+        vals = numerics.hermitian_eigenvalues(gram - np.eye(gram.shape[0]))
         worst = max(worst, float(np.max(np.abs(vals))))
     return worst
 

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from spinlab import fidelity, povm
+from spinlab import codes, fidelity, povm
 from spinlab.codes import (AlphaFamily, DensityMatrix, MultiRepState, _block_amplitudes,
-                           _ring_rows, alpha_code, alpha_state, code_state, coherent_code,
-                           decoder_coefficients, decoder_state, exact_sphere,
+                           _ring_rows, _tower_projections, alpha_code, alpha_state,
+                           code_state, coherent_code, decoder_coefficients, decoder_state, exact_sphere,
                            grid_unit_vectors, matched_decoder, minimal_sn,
                            source_density, sphere_grid, von_neumann_entropy)
 from spinlab.su2 import Direction, HalfInt, Z_AXIS, rotate_to
@@ -188,6 +188,20 @@ def random_code(nspins, seed):
 def test_source_density_matches_block_average(code):
     rho = source_density(code)
     assert np.max(np.abs(rho.matrix - block_average_oracle(code))) < 1e-13
+
+
+def test_source_density_builds_no_grid_rows(monkeypatch):
+    # one block per projection m: no (N + 2)^2 x D rows, and exact zeros
+    # between components of different m
+    def refuse(*args):
+        raise AssertionError("source_density expanded the grid rows")
+    monkeypatch.setattr(codes, "_ring_rows", refuse)
+    monkeypatch.setattr(codes, "exact_sphere", refuse)
+    code = fidelity.max_fidelity_rotation(12)[1]
+    rho = source_density(code).matrix
+    m = _tower_projections(code.sn, code.nspins)
+    assert np.all(rho[np.not_equal.outer(m, m)] == 0.0)
+    assert np.max(np.abs(rho - block_average_oracle(code))) < 1e-13
 
 
 @pytest.mark.parametrize("code", [random_code(9, 9), random_code(8, 4),

@@ -1,5 +1,6 @@
 """Quadrature rules, polynomial zeros, and the tridiagonal eigensolver."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import roots_jacobi, roots_legendre
 
+from spinlab import numerics
+from spinlab.fidelity import build_m, max_fidelity_rotation
 from spinlab.numerics import (Quadrature1D, Tridiag, bessel_j0_first_zero,
                               gauss_legendre, hermitian_eigensystem,
-                              jacobi01_eval, largest_zero, legendre_eval,
-                              tridiag_max_eigenpair)
+                              hermitian_eigenvalues, jacobi01_eval, largest_zero,
+                              legendre_eval, tridiag_max_eigenpair)
 
 # Hand-expanded low-degree members of both families, the ground truth the
 # recursions are checked against.
@@ -222,6 +225,94 @@ def test_tridiag_max_eigenpair_degenerate_top_raises():
         tridiag_max_eigenpair(Tridiag([1.0, 1.0], [0.0]))
 
 
+@pytest.mark.parametrize("delta, raises", [
+    (0.0, True), (1e-11, True), (1.5e-10, False), (3e-10, False), (1e-9, False)])
+def test_tridiag_max_eigenpair_gap_threshold(delta, raises):
+    # the gap guard trips below 1e-10 times the Gershgorin scale (here 1 + 1e-6)
+    t = Tridiag([1.0, 1.0 + delta], [0.0])
+    if raises:
+        with pytest.raises(RuntimeError, match="gap"):
+            tridiag_max_eigenpair(t)
+    else:
+        lam, vec = tridiag_max_eigenpair(t)
+        assert lam == pytest.approx(1.0 + delta, abs=1e-13)
+        # the residual test passes once vec[0] * delta <= 1e-12 * scale
+        assert abs(vec[0]) * delta <= 1e-12 and vec[1] > 0.0
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-15)
+
+
+# Top eigenpairs of the fidelity matrices: the eigenvalue as float.hex and the
+# sha256 of the eigenvector's little-endian float64 bytes
+PINNED_EIGENPAIRS = [
+    (1, "0x1.5555555555555p-2", "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712"),
+    (2, "0x1.279a7459033f0p-1", "a79009788da6562af5d0a823a8d4d5b76d051e4e53baf8b1c65649a4dc454f37"),
+    (3, "0x1.613a4dcd41a10p-1", "2f7d604b6096d04f4067b97592445df2f5264328e88346074d7af1f8efb5bcfe"),
+    (4, "0x1.8c97ef43f732cp-1", "493e88bbe308a8b65e7678226361323bfcc5792d5cc0322f5a77e433fada80f7"),
+    (5, "0x1.a54932ac4b488p-1", "f64c4fdb7d746f1d7560b43adb5cfd1abd932ed0cf9b5234aba379d3740efaf6"),
+    (6, "0x1.b8e6dbcf638c2p-1", "4b30363eee5c26d01387c929862123bb34d55ffdacbd43b89926f00cf0edfdd9"),
+    (7, "0x1.c5867a44e5266p-1", "4b051589106d227fc79b6bc461a581fed00ed3cdedd1073fdf17091c9d89da9f"),
+    (8, "0x1.cff6ce0533994p-1", "e9b31e4b5c5047acbcde05df13211667049b2b9b4c87c1db70c9360ac4aabbb9"),
+    (9, "0x1.d73c15b79f344p-1", "e57e9d909a23df9dd7621497fae959d2d8776bf68dfff9eb99c99e8e914f8e7f"),
+    (10, "0x1.dd6ca4e80a0acp-1", "e512dd11a287d0917bf2036b6fc5f3c6b5ddf99d293f506532853fb59361da7e"),
+    (11, "0x1.e1fadfe073ef8p-1", "836f2902af76d310d4c5437fff1eaba62a1c3a06a5cccc7a98692470d1af0734"),
+    (12, "0x1.e5f178e7c613ap-1", "b33ff0bd208e163b9ed6bb912cd18dadd4d6803ea7073eac70ac5d93acd9d9c7"),
+    (64, "0x1.feae731405d6cp-1", "42bacd970b48c5abdf75cf203c3477ad6b9603a2f24f430b19fc854b9e76b7d9"),
+    (100, "0x1.ff71215cb0080p-1", "a3f489475171ba9ae495de350b1feeca0d0a26820e38aa6221af8a4390069544"),
+    (200, "0x1.ffdb3698eb0c6p-1", "f66b6a737a97cb6ffb7b018832002fd8d5a5b837bb67175aa0ef83276dcb4793"),
+    (1000, "0x1.fffe7e374c564p-1", "41e8fdccb67be1d1379b36e5326af5e92334897d5ff2a4f1616c1aca6cea348a"),
+    (1001, "0x1.fffe7efbd60cep-1", "df68f100585f583e7e4f610b15551ad016ec98bfb8e2427c6b905c8f4ee1adce"),
+]
+
+
+@pytest.mark.parametrize("n, lam_hex, vec_sha", PINNED_EIGENPAIRS)
+def test_max_fidelity_rotation_eigenpair_pinned(n, lam_hex, vec_sha):
+    lam, vec = tridiag_max_eigenpair(build_m(n))
+    assert lam.hex() == lam_hex
+    assert hashlib.sha256(vec.astype("<f8").tobytes()).hexdigest() == vec_sha
+    assert max_fidelity_rotation(n)[0] == (1.0 + lam) / 2.0
+
+
+@pytest.mark.parametrize("diag, off", [
+    ([0.15234566010016998, 1.514338909453495, -1.1379390989289333, -1.1999917906247721,
+      -0.2968501824793695, 0.49269998116109476],
+     [-0.0, 1.1376816299409134, 0.0, 0.35589887145952187, -0.0]),
+    ([0.3112976292658989, 0.3265963960937735, -1.9137642104785484, 0.5872597866243651,
+      0.10570567214743247, -0.27065942796343, -0.3351196072194967, 0.5991200180862716,
+      -0.8792993909043877, -1.4287574117262778],
+     [-0.7393117255419478, -0.04755897109623478, 0.4673768818492141, -1.3307626127959473,
+      -0.0, -0.0, -0.06708511131542264, 1.1786174001039667, 0.6391577286176845]),
+])
+def test_tridiag_max_eigenpair_decoupled_blocks(diag, off):
+    # an exactly singular pivot in the top block overflows the first solve
+    # (its norm is infinite); the eigenvector must still come out unit
+    t = Tridiag(diag, off)
+    lam, vec = tridiag_max_eigenpair(t)
+    vals, vecs = np.linalg.eigh(t.dense())
+    assert lam == pytest.approx(vals[-1], abs=1e-12)
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+    assert min(np.max(np.abs(vec - vecs[:, -1])), np.max(np.abs(vec + vecs[:, -1]))) < 1e-9
+
+
+def test_tridiag_max_eigenpair_calls_no_library_eigensolver(monkeypatch):
+    # the eigen route is the independent cross-check of the LAPACK paths
+    def refuse(*args, **kwargs):
+        raise AssertionError("library eigensolver called")
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    lam, _ = tridiag_max_eigenpair(build_m(64))
+    assert lam.hex() == {n: h for n, h, _ in PINNED_EIGENPAIRS}[64]
+
+
+def test_tridiag_max_eigenpair_bisects_once(monkeypatch):
+    # one bisection to 1e-13 of the Gershgorin scale plus one gap count
+    calls = []
+    count_below = numerics._count_below
+    monkeypatch.setattr(numerics, "_count_below",
+                        lambda *args: calls.append(args[2]) or count_below(*args))
+    tridiag_max_eigenpair(build_m(200))
+    assert 40 <= len(calls) <= 50
+
+
 def test_hermitian_eigensystem_reconstructs():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
@@ -231,10 +322,18 @@ def test_hermitian_eigensystem_reconstructs():
     assert np.max(np.abs(vecs @ np.diag(vals) @ vecs.conj().T - h)) < 1e-12
 
 
+def test_hermitian_eigenvalues_match_eigensystem():
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    h = (a + a.conj().T) / 2.0
+    assert np.max(np.abs(hermitian_eigenvalues(h) - hermitian_eigensystem(h)[0])) < 1e-12
+
+
 def test_hermitian_eigensystem_validation():
-    with pytest.raises(ValueError):
-        hermitian_eigensystem(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError, match="Hermitian"):
-        hermitian_eigensystem(np.array([[math.nan, 0.0], [0.0, 1.0]]))
+    for solve in (hermitian_eigensystem, hermitian_eigenvalues):
+        with pytest.raises(ValueError):
+            solve(np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            solve(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="Hermitian"):
+            solve(np.array([[math.nan, 0.0], [0.0, 1.0]]))
