@@ -10,14 +10,12 @@ and average information gain (:mod:`spinlab.infogain`).
 from .codes import (AlphaFamily, DensityMatrix, MultiRepState, alpha_code,
                     alpha_state, code_state, coherent_code,
                     decoder_coefficients, decoder_state, matched_decoder,
-                    minimal_sn, source_density, sphere_grid,
-                    von_neumann_entropy)
+                    minimal_sn, source_density, von_neumann_entropy)
 from .fidelity import (asymptotic_table, build_m, fidelity_optimal,
                        fidelity_parallel, fidelity_quadrature,
                        max_fidelity_polynomial, max_fidelity_rotation)
 from .infogain import info_gain_closed, info_gain_quadrature, maximize_alpha
-from .numerics import (bessel_j0_first_zero, gauss_legendre,
-                       hermitian_eigensystem, largest_zero,
+from .numerics import (bessel_j0_first_zero, gauss_legendre, largest_zero,
                        tridiag_max_eigenpair)
 from .povm import (FinitePovm, RingPovm, check_identity, octahedron_povm,
                    povm_fidelity_exact, quadrature_povm, simulate,
@@ -35,12 +33,12 @@ __all__ = [
     "build_m", "check_identity", "code_state", "coherent_code",
     "decoder_coefficients", "decoder_state", "entanglement_entropy",
     "fidelity_optimal", "fidelity_parallel", "fidelity_quadrature",
-    "gauss_legendre", "hermitian_eigensystem", "info_gain_closed",
+    "gauss_legendre", "info_gain_closed",
     "info_gain_quadrature", "largest_zero", "matched_decoder",
     "max_fidelity_polynomial", "max_fidelity_rotation", "maximize_alpha",
     "minimal_sn", "octahedron_povm", "overlap_sq_32", "peres_generators",
     "povm_fidelity_exact", "projections", "quadrature_povm", "rotate_to",
-    "simulate", "source_density", "sphere_grid", "spin_operators",
+    "simulate", "source_density", "spin_operators",
     "tridiag_max_eigenpair", "von_neumann_entropy", "von_neumann_pair",
     "wigner_small_d",
 ]

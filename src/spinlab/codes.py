@@ -11,7 +11,7 @@ frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,9 +68,11 @@ class MultiRepState:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive semidefinite matrix."""
+    """Hermitian, unit-trace, positive semidefinite matrix, with the ascending
+    eigenvalues that its positive semidefinite check solves for."""
 
     matrix: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -80,9 +82,11 @@ class DensityMatrix:
             raise ValueError("matrix must be Hermitian")
         if not abs(np.trace(m).real - 1.0) <= 1e-10:
             raise ValueError("trace must be 1")
-        if not float(np.linalg.eigvalsh(m)[0]) >= -1e-10:
+        vals = np.linalg.eigvalsh(m)
+        if not float(vals[0]) >= -1e-10:
             raise ValueError("matrix must be positive semidefinite")
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "eigenvalues", vals)
 
     @property
     def dim(self) -> int:
@@ -234,23 +238,6 @@ def matched_decoder(a: MultiRepState) -> MultiRepState:
     return MultiRepState(a.sn, a.nspins, b * phases)
 
 
-def sphere_grid(theta_order: int, phi_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Product quadrature for the sphere with measure normalized to 1.
-
-    Gauss-Legendre in cos(theta) times a uniform azimuthal grid. Returns
-    flat arrays (weights, thetas, phis); weights sum to 1. Exact whenever
-    the integrand is a polynomial of degree <= 2*theta_order - 1 in
-    cos(theta) and contains azimuthal harmonics only below phi_count.
-    """
-    if theta_order < 1 or phi_count < 1:
-        raise ValueError("grid sizes must be >= 1")
-    rule = numerics.gauss_legendre(theta_order)
-    thetas = np.arccos(rule.nodes)
-    phis = 2.0 * math.pi * np.arange(phi_count) / phi_count
-    weights = np.repeat(rule.weights / 2.0, phi_count) / phi_count
-    return weights, np.repeat(thetas, phi_count), np.tile(phis, theta_order)
-
-
 def _exact_size(nspins: int) -> int:
     """Polar nodes and azimuths, N + 2 each, of the sphere grid that averages
     exactly over the directions of an N-spin code space.
@@ -294,31 +281,28 @@ def _ring_rows(sn: HalfInt, nspins: int, count: int, states: np.ndarray, vecs: n
     return rows, _turned_about_z(vecs, count)
 
 
-def grid_unit_vectors(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Cartesian unit vectors for grid angles, shape (npoints, 3)."""
-    st = np.sin(thetas)
-    return np.stack([st * np.cos(phis), st * np.sin(phis), np.cos(thetas)], axis=1)
-
-
 def _exact_rings(a: MultiRepState) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """(ring size P, weights (T,), states (T, dim), unit vectors (T, 3)) of the T
-    polar rings of :func:`exact_sphere` at azimuth 0, one d-column per block each."""
+    """The exact sphere grid of :func:`_exact_size` for a code family as its T polar
+    rings at azimuth 0: (ring size P, weights (T,), states (T, dim), unit vectors
+    (T, 3)). Ring j, at Gauss-Legendre node j in cos(theta), has P points of weight
+    w_j / 2 / P each (they sum to 1), which :func:`_ring_rows` turns to each azimuth."""
     size = _exact_size(a.nspins)
-    w, th, _ = sphere_grid(size, size)
-    th, ph = th[::size], np.zeros(size)
-    return size, w[::size], _block_amplitudes(a, th, ph).T, grid_unit_vectors(th, ph)
+    rule = numerics.gauss_legendre(size)
+    th = np.arccos(rule.nodes)
+    vecs = np.stack([np.sin(th), np.zeros(size), np.cos(th)], axis=1)
+    return size, rule.weights / 2.0 / size, _block_amplitudes(a, th, np.zeros(size)).T, vecs
 
 
-def exact_sphere(a: MultiRepState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The exact sphere grid of :func:`_exact_size` for a code family, ring by ring.
-
-    Returns (weights (K,), states (K, dim), unit vectors (K, 3)) over the
-    K = (N + 2)^2 points of :func:`sphere_grid`, the rings of
-    :func:`_exact_rings` expanded: the weights sum to 1 and row k of states
-    is the encoded state A(n_k).
-    """
-    size, w, states, vecs = _exact_rings(a)
-    return (np.repeat(w, size), *_ring_rows(a.sn, a.nspins, size, states, vecs))
+def _decoded_fidelity(a: MultiRepState, weights: np.ndarray, states: np.ndarray,
+                      guesses: np.ndarray) -> float:
+    """sum_k w_k of the average over n of |<s_k|A(n)>|^2 (1 + n.g_k)/2, taken exactly
+    on the T P points of :func:`_exact_rings`, for outcomes k with weights w_k (K,),
+    unit states s_k (K, dim) and guesses g_k (K, 3)."""
+    size, w, rings, vecs = _exact_rings(a)
+    points, dirs = _ring_rows(a.sn, a.nspins, size, rings, vecs)
+    prob = np.abs(states.conj() @ points.T) ** 2         # (outcomes, points)
+    score = (1.0 + guesses @ dirs.T) / 2.0
+    return float(np.sum(weights[:, None] * prob * score * np.repeat(w, size)[None, :]))
 
 
 def _projection_blocks(sn: HalfInt, nspins: int, count: int, weights: np.ndarray,
@@ -340,7 +324,7 @@ def _projection_blocks(sn: HalfInt, nspins: int, count: int, weights: np.ndarray
 
 def source_density(a: MultiRepState) -> DensityMatrix:
     """Average of |A(n)><A(n)| over uniformly distributed directions, taken
-    exactly on :func:`exact_sphere`, one projection block at a time."""
+    exactly on the rings of :func:`_exact_rings`, one projection block at a time."""
     size, w, states, _ = _exact_rings(a)
     rho = np.zeros((a.dim, a.dim), dtype=complex)
     for idx, block in _projection_blocks(a.sn, a.nspins, size, w, states):
@@ -350,4 +334,4 @@ def source_density(a: MultiRepState) -> DensityMatrix:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy -tr(rho log2 rho) in bits; zero eigenvalues contribute nothing."""
-    return numerics.spectral_entropy(rho.matrix)
+    return numerics.spectral_entropy(rho.eigenvalues)

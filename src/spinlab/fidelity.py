@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import numerics
-from .codes import (MultiRepState, _axial_overlap, _exact_size, code_state, exact_sphere,
+from .codes import (MultiRepState, _axial_overlap, _decoded_fidelity, _exact_size, code_state,
                     matched_decoder, minimal_sn)
 from .su2 import Direction, Z_AXIS
 
@@ -92,7 +92,7 @@ def fidelity_quadrature(code: MultiRepState, decoder: MultiRepState | None = Non
     sphere measure, with B the covariant decoder family (phase-matched to
     the code unless one is passed explicitly) evaluated at the fixed
     direction m. The integrand is band-limited, so the grid of
-    :func:`spinlab.codes.exact_sphere` is exact, not approximate.
+    :func:`spinlab.codes._exact_rings` is exact, not approximate.
 
     With the decoder on +z (m.theta == 0, any phi) the integrand depends on
     theta alone: the overlap is sum_S conj(b_S) a_S d^S_{sn,sn}(theta) up to
@@ -108,8 +108,10 @@ def fidelity_quadrature(code: MultiRepState, decoder: MultiRepState | None = Non
     D near x = 1, so its rounding grows as D eps: about 40 D eps at
     N = 1000.
 
-    Any other decoder direction keeps the whole grid over the sphere, whose
-    agreement with the +z value is the covariance cross-check.
+    Any other decoder direction keeps the whole grid over the sphere, as
+    one outcome of weight D, state B(m) and guess m of a finite POVM
+    (:func:`spinlab.codes._decoded_fidelity`); its agreement with the +z
+    value is the covariance cross-check.
     """
     decoder = matched_decoder(code) if decoder is None else decoder
     if decoder.sn != code.sn or decoder.nspins != code.nspins:
@@ -119,11 +121,9 @@ def fidelity_quadrature(code: MultiRepState, decoder: MultiRepState | None = Non
         overlap_sq = np.abs(_axial_overlap(code, decoder, np.arccos(rule.nodes))) ** 2
         score = (1.0 + rule.nodes) / 2.0
         return float(code.dim * np.sum(rule.weights / 2.0 * score * overlap_sq))
-    w, states, vecs = exact_sphere(code)
-    bvec = code_state(decoder, decoder_direction)
-    overlap_sq = np.abs(bvec.conj() @ states.T) ** 2
-    score = (1.0 + vecs @ decoder_direction.unit_vector) / 2.0
-    return float(code.dim * np.sum(w * score * overlap_sq))
+    return _decoded_fidelity(code, np.array([float(code.dim)]),
+                             code_state(decoder, decoder_direction)[None, :],
+                             decoder_direction.unit_vector[None, :])
 
 
 def asymptotic_table(max_n: int) -> list[tuple[int, float, float]]:

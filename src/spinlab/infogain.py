@@ -18,6 +18,8 @@ _PIECE_ORDER = 48
 _T = (numerics.gauss_legendre(_PIECE_ORDER).nodes + 1.0) / 2.0
 _PIECE_NODES = _T ** 3 * (10.0 - 15.0 * _T + 6.0 * _T ** 2)
 _PIECE_WEIGHTS = 7.5 * (_T * (1.0 - _T)) ** 2 * numerics.gauss_legendre(_PIECE_ORDER).weights
+# width in alpha to which the golden-section search narrows the peak's bracket
+_ALPHA_TOL = 1e-6
 
 
 def info_gain_closed(nspins: int) -> float:
@@ -71,15 +73,13 @@ def scan_alpha(beta: float = 0.0) -> tuple[np.ndarray, list[float]]:
     return alphas, [_alpha_gain(float(a), beta) for a in alphas]
 
 
-def refine_alpha(alphas: np.ndarray, gains: list[float], tol: float = 1e-6,
+def refine_alpha(alphas: np.ndarray, gains: list[float],
                  beta: float = 0.0) -> tuple[float, float]:
     """Golden-section search for the gain peak bracketed by a scan.
 
     The scan's largest gain must be interior; its two neighbours bracket
-    the peak, which is narrowed to width tol. Returns (alpha_star, gain_star).
+    the peak, which is narrowed to width _ALPHA_TOL. Returns (alpha_star, gain_star).
     """
-    if not 0.0 < tol <= 1e-4:
-        raise ValueError("tol must lie in (0, 1e-4]")
     peak = int(np.argmax(gains))
     if peak == 0 or peak == len(alphas) - 1:
         raise RuntimeError("no interior maximum bracketed by the scan")
@@ -88,7 +88,7 @@ def refine_alpha(alphas: np.ndarray, gains: list[float], tol: float = 1e-6,
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     gc, gd = _alpha_gain(c, beta), _alpha_gain(d, beta)
-    while b - a > tol:
+    while b - a > _ALPHA_TOL:
         if gc > gd:
             b, d, gd = d, c, gc
             c = b - invphi * (b - a)
@@ -101,11 +101,11 @@ def refine_alpha(alphas: np.ndarray, gains: list[float], tol: float = 1e-6,
     return best, _alpha_gain(best, beta)
 
 
-def maximize_alpha(tol: float = 1e-6, beta: float = 0.0) -> tuple[float, float]:
+def maximize_alpha(beta: float = 0.0) -> tuple[float, float]:
     """Alpha maximizing the two-spin family's information gain.
 
     A 64-point scan over [0, pi/2] (scan_alpha) brackets the peak, then
-    golden-section (refine_alpha) narrows the bracket to width tol.
+    golden-section (refine_alpha) narrows the bracket to width _ALPHA_TOL.
     Returns (alpha_star, gain_star).
     """
-    return refine_alpha(*scan_alpha(beta), tol=tol, beta=beta)
+    return refine_alpha(*scan_alpha(beta), beta=beta)

@@ -24,7 +24,6 @@ __all__ = [
     "Tridiag",
     "bessel_j0_first_zero",
     "gauss_legendre",
-    "hermitian_eigensystem",
     "hermitian_eigenvalues",
     "jacobi01_eval",
     "largest_zero",
@@ -271,27 +270,46 @@ def _tridiag_apply(diag, off, v) -> np.ndarray:
     return out
 
 
-def _inverse_iteration(m: Tridiag, lam: float, shift: float, scale: float) -> np.ndarray | None:
-    """Unit eigenvector of m for lam from at most five solves with m - shift*I.
+def _inverse_iteration(m: Tridiag, lam: float, shift: float, scale: float,
+                       settle: bool) -> np.ndarray | None:
+    """Unit eigenvector of m for lam from solves with m - shift*I: at most five,
+    until the residual is 1e-12 scale.
 
-    Returns None if a solve overflows, so that its norm is not finite: an
-    exactly singular pivot in a decoupled block grows the solution by
-    1/_PIVMIN.
+    That residual leaves an error of up to residual / gap in the vector, where
+    gap is the distance to the next eigenvalue. With settle (a close second
+    eigenvalue) the solves go on from there, at most ten more, until two
+    successive vectors agree to 1e-14 up to sign; each one shrinks the error by
+    |lam - shift| / gap, under 1e-13 / 1e-10 past the gap guard. Returns None
+    if a solve overflows, so that its norm is not finite: an exactly singular
+    pivot in a decoupled block grows the solution by 1/_PIVMIN.
     """
     diag, off = m.diag.tolist(), m.offdiag.tolist()
+
+    def solve(v: list[float]) -> np.ndarray | None:
+        w = np.array(_solve_shifted(diag, off, shift, v))
+        norm = float(np.linalg.norm(w))
+        return w / norm if 0.0 < norm < math.inf else None
+
     v = [1.0 / math.sqrt(m.size)] * m.size
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(5):
-            w = np.array(_solve_shifted(diag, off, shift, v))
-            norm = float(np.linalg.norm(w))
-            if not 0.0 < norm < math.inf:
+            v = solve(v)
+            if v is None:
                 return None
-            v = w / norm
             resid = float(np.max(np.abs(_tridiag_apply(m.diag, m.offdiag, v) - lam * v)))
             if resid <= 1e-12 * scale:
-                return v
+                break
             v = v.tolist()
-    raise RuntimeError("inverse iteration did not converge")
+        else:
+            raise RuntimeError("inverse iteration did not converge")
+        if not settle:
+            return v
+        for _ in range(10):
+            w = solve(v.tolist())
+            if w is None or min(np.max(np.abs(w - v)), np.max(np.abs(w + v))) <= 1e-14:
+                return w
+            v = w
+    raise RuntimeError("inverse iteration did not settle")
 
 
 def tridiag_max_eigenpair(m: Tridiag) -> tuple[float, np.ndarray]:
@@ -301,8 +319,10 @@ def tridiag_max_eigenpair(m: Tridiag) -> tuple[float, np.ndarray]:
     1e-13 (relative to the Gershgorin scale); one more Sturm count, at
     1e-10 below it, tests the gap to the second eigenvalue. The eigenvector
     comes from inverse iteration at the eigenvalue, retried a bisection
-    width above it if the solve overflows. Its sign is fixed so its first
-    nonzero entry is positive. The scalar loops run on plain Python floats,
+    width above it if the solve overflows; a third Sturm count, at 1e-6
+    below, tells it to iterate past the residual test, which alone leaves
+    an error of up to 1e-12 / gap. Its sign is fixed so its first nonzero
+    entry is positive. The scalar loops run on plain Python floats,
     which are IEEE binary64 like numpy's float64.
 
     Raises
@@ -311,7 +331,7 @@ def tridiag_max_eigenpair(m: Tridiag) -> tuple[float, np.ndarray]:
         If the two largest eigenvalues are closer than 1e-10: the leading
         eigenvector is then numerically ill-defined and callers must not
         trust it. Also if inverse iteration does not reach a unit vector
-        with residual 1e-12.
+        with residual 1e-12 or, past a gap below 1e-6, does not settle.
     """
     n = m.size
     if n == 1:
@@ -333,9 +353,10 @@ def tridiag_max_eigenpair(m: Tridiag) -> tuple[float, np.ndarray]:
         raise RuntimeError(
             f"top eigenvalues nearly degenerate (gap {lam - second:.3e}); "
             "leading eigenvector is not well defined")
-    v = _inverse_iteration(m, lam, lam, scale)
+    settle = _count_below(diag, coupling, lam - 1e-6 * scale) < n - 1
+    v = _inverse_iteration(m, lam, lam, scale, settle)
     if v is None:
-        v = _inverse_iteration(m, lam, lam + tol, scale)
+        v = _inverse_iteration(m, lam, lam + tol, scale, settle)
     if v is None or not abs(float(v @ v) - 1.0) <= 1e-12:
         raise RuntimeError("inverse iteration did not reach a unit eigenvector")
     for entry in v.tolist():
@@ -346,34 +367,26 @@ def tridiag_max_eigenpair(m: Tridiag) -> tuple[float, np.ndarray]:
     return lam, v
 
 
-def _hermitian(h) -> np.ndarray:
-    """h as an array, after checking that it is square and Hermitian to 1e-10
-    (a NaN entry fails the check)."""
+def hermitian_eigenvalues(h) -> np.ndarray:
+    """Eigenvalues (ascending) of a Hermitian matrix, without its eigenvectors.
+
+    Raises ValueError unless h is square and Hermitian to 1e-10 (a NaN entry
+    fails the check).
+    """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")
     dev = float(np.max(np.abs(h - h.conj().T)))
     if not dev <= 1e-10:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    return h
+    return np.linalg.eigvalsh(h)
 
 
-def hermitian_eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
-    vals, vecs = np.linalg.eigh(_hermitian(h))
-    return vals, vecs
-
-
-def hermitian_eigenvalues(h) -> np.ndarray:
-    """Eigenvalues (ascending) of a Hermitian matrix, without its eigenvectors."""
-    return np.linalg.eigvalsh(_hermitian(h))
-
-
-def spectral_entropy(h) -> float:
-    """Entropy -sum v log2 v in bits over the eigenvalues v of a Hermitian
+def spectral_entropy(values: np.ndarray) -> float:
+    """Entropy -sum v log2 v in bits over the eigenvalues v of a density
     matrix; eigenvalues at or below 1e-15 contribute nothing."""
     total = 0.0
-    for v in hermitian_eigenvalues(h).tolist():
+    for v in values.tolist():
         if v > 1e-15:
             total -= v * math.log2(v)
     return total

@@ -15,8 +15,8 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from . import numerics
-from .codes import (MultiRepState, _exact_rings, _projection_blocks, _ring_rows, _tower_kernel,
-                    _tower_phases, _turned_about_z, decoder_coefficients, exact_sphere)
+from .codes import (MultiRepState, _decoded_fidelity, _exact_rings, _projection_blocks, _ring_rows,
+                    _tower_kernel, _tower_phases, _turned_about_z, decoder_coefficients)
 from .su2 import Direction, HalfInt, X_AXIS, Y_AXIS, Z_AXIS, _half_angle_terms, rotate_to
 
 # chunk size for vectorized sampling; fixed so a seed gives one stream
@@ -109,10 +109,10 @@ class RingPovm:
 def quadrature_povm(sn, nspins: int) -> RingPovm:
     """Grid discretization of the covariant decoder measurement.
 
-    One outcome per point of :func:`spinlab.codes.exact_sphere` for the
-    decoder family, with D times the grid weight, so the weights sum to D
-    and the elements resolve the identity exactly. Only its polar rings
-    are built.
+    One outcome per point of the exact sphere grid
+    (:func:`spinlab.codes._exact_rings`) for the decoder family, with D
+    times the grid weight, so the weights sum to D and the elements
+    resolve the identity exactly. Only its polar rings are built.
     """
     sn = HalfInt.of(sn)
     family = MultiRepState(sn, nspins, decoder_coefficients(sn, nspins).astype(complex))
@@ -167,7 +167,8 @@ def povm_fidelity_exact(code: MultiRepState, p: FinitePovm | RingPovm) -> float:
     """Exact mean fidelity of a code decoded by a finite POVM.
 
     The average of sum_k w_k |<A(n)|s_k>|^2 (1 + n.g_k)/2 over the encoded
-    direction n, exact on :func:`spinlab.codes.exact_sphere`. Refuses POVMs
+    direction n, exact on the grid of :func:`spinlab.codes._exact_rings`
+    (:func:`spinlab.codes._decoded_fidelity`). Refuses POVMs
     that do not resolve the identity, since the result would not be a fidelity.
     """
     if p.dim != code.dim:
@@ -176,10 +177,7 @@ def povm_fidelity_exact(code: MultiRepState, p: FinitePovm | RingPovm) -> float:
     if deviation > 1e-10:
         raise ValueError(f"POVM does not resolve the identity (deviation {deviation:.3e})")
     p = p.rows() if isinstance(p, RingPovm) else p
-    w, states, vecs = exact_sphere(code)
-    prob = np.abs(p.states.conj() @ states.T) ** 2         # (outcomes, points)
-    score = (1.0 + p.guesses @ vecs.T) / 2.0
-    return float(np.sum(p.weights[:, None] * prob * score * w[None, :]))
+    return _decoded_fidelity(code, p.weights, p.states, p.guesses)
 
 
 def _check_total(total: np.ndarray) -> None:
@@ -399,7 +397,7 @@ def simulate(code: MultiRepState, p: FinitePovm | RingPovm, shots: int,
         u = rng.random(k)
         th = np.arccos(cos_th)
         # cos(phi) and sin(phi) serve both the draw and the score, whose
-        # unit vector is that of grid_unit_vectors(th, ph), dotted with the
+        # unit vector is (sin th cos ph, sin th sin ph, cos th), dotted with the
         # guess term by term
         cos_ph, sin_ph = np.cos(ph), np.sin(ph)
         turn = cos_ph + 1j * sin_ph

@@ -388,7 +388,7 @@ def entanglement_entropy(state) -> float:
     if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:
         raise ValueError("state must be normalized")
     mat = psi.reshape(2, 2)
-    return numerics.spectral_entropy(mat @ mat.conj().T)
+    return numerics.spectral_entropy(numerics.hermitian_eigenvalues(mat @ mat.conj().T))
 
 
 def overlap_sq_32(cos_angle: float, m) -> float:

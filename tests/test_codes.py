@@ -7,10 +7,9 @@ import pytest
 
 from spinlab import codes, fidelity, povm
 from spinlab.codes import (AlphaFamily, DensityMatrix, MultiRepState, _block_amplitudes,
-                           _ring_rows, _tower_projections, alpha_code, alpha_state,
-                           code_state, coherent_code, decoder_coefficients, decoder_state, exact_sphere,
-                           grid_unit_vectors, matched_decoder, minimal_sn,
-                           source_density, sphere_grid, von_neumann_entropy)
+                           _exact_rings, _ring_rows, _tower_projections, alpha_code, alpha_state,
+                           code_state, coherent_code, decoder_coefficients, decoder_state,
+                           matched_decoder, minimal_sn, source_density, von_neumann_entropy)
 from spinlab.su2 import Direction, HalfInt, Z_AXIS, rotate_to
 
 
@@ -130,29 +129,49 @@ def test_matched_decoder_zero_amplitude_stays_real():
     assert np.all(dec.coeffs.real > 0.0)
 
 
+def exact_grid(code):
+    """(weights, states, unit vectors) at every point of the code's exact grid:
+    the rings of _exact_rings turned to each azimuth by _ring_rows."""
+    size, w, states, vecs = _exact_rings(code)
+    return (np.repeat(w, size), *_ring_rows(code.sn, code.nspins, size, states, vecs))
+
+
+def leggauss_grid(nspins):
+    """(weights, thetas, phis) of N + 2 Gauss-Legendre rings of N + 2 azimuths,
+    built from numpy alone, ring-major."""
+    size = nspins + 2
+    x, wx = np.polynomial.legendre.leggauss(size)
+    phis = 2.0 * math.pi * np.arange(size) / size
+    return (np.repeat(wx / 2.0 / size, size), np.repeat(np.arccos(x), size),
+            np.tile(phis, size))
+
+
 def test_sphere_grid_weights_and_exactness():
-    w, th, ph = sphere_grid(6, 5)
+    # N = 4: 6 polar rings of 6 azimuths, weights summing to 1
+    w, _, vecs = exact_grid(coherent_code(5))
+    assert w.size == vecs.shape[0] == 36
     assert w.sum() == pytest.approx(1.0, abs=1e-14)
-    assert w.size == th.size == ph.size == 30
-    c = np.cos(th)
+    x, y, z = vecs.T
     # moments of cos(theta): 0 for odd k, 1/(k+1) for even k, exact to degree 11
     for k in range(12):
         want = 0.0 if k % 2 else 1.0 / (k + 1)
-        assert float(np.sum(w * c ** k)) == pytest.approx(want, abs=1e-14)
-    # azimuthal harmonics below phi_count average to zero
-    for m in range(1, 5):
-        assert abs(np.sum(w * np.exp(1j * m * ph))) < 1e-14
-    with pytest.raises(ValueError):
-        sphere_grid(0, 3)
+        assert float(np.sum(w * z ** k)) == pytest.approx(want, abs=1e-14)
+    # sin^m(theta) e^{i m phi} averages to zero for 0 < m < 6 azimuths
+    for m in range(1, 6):
+        assert abs(np.sum(w * (x + 1j * y) ** m)) < 1e-14
 
 
 def test_grid_unit_vectors():
-    w, th, ph = sphere_grid(4, 3)
-    vecs = grid_unit_vectors(th, ph)
-    assert vecs.shape == (12, 3)
+    # ring j at azimuth 0 is (sin theta_j, 0, cos theta_j); its points turn about z
+    size, _, _, rings = _exact_rings(coherent_code(4))
+    _, th, ph = leggauss_grid(3)
+    assert np.max(np.abs(rings[:, 2] - np.cos(th[::size]))) < 1e-15
+    assert np.all(rings[:, 0] >= 0.0) and np.all(rings[:, 1] == 0.0)
+    _, _, vecs = exact_grid(coherent_code(4))
+    assert vecs.shape == (25, 3)
     assert np.max(np.abs(np.linalg.norm(vecs, axis=1) - 1.0)) < 1e-14
-    d = Direction(th[5], ph[5])
-    assert np.max(np.abs(vecs[5] - d.unit_vector)) < 1e-14
+    for k in (0, 7, 24):
+        assert np.max(np.abs(vecs[k] - Direction(th[k], ph[k]).unit_vector)) < 1e-14
 
 
 def block_average_oracle(code):
@@ -196,7 +215,7 @@ def test_source_density_builds_no_grid_rows(monkeypatch):
     def refuse(*args):
         raise AssertionError("source_density expanded the grid rows")
     monkeypatch.setattr(codes, "_ring_rows", refuse)
-    monkeypatch.setattr(codes, "exact_sphere", refuse)
+    monkeypatch.setattr(codes, "_decoded_fidelity", refuse)
     code = fidelity.max_fidelity_rotation(12)[1]
     rho = source_density(code).matrix
     m = _tower_projections(code.sn, code.nspins)
@@ -207,13 +226,15 @@ def test_source_density_builds_no_grid_rows(monkeypatch):
 @pytest.mark.parametrize("code", [random_code(9, 9), random_code(8, 4),
                                   MultiRepState(HalfInt(1), 3, np.array([0.6, 0.8j]))])
 def test_exact_sphere_rows_are_per_point_states(code):
-    w, states, vecs = exact_sphere(code)
+    # the oracle grid comes from numpy's Gauss-Legendre rule, not from spinlab
+    w, states, vecs = exact_grid(code)
     size = code.nspins + 2
     assert w.shape == (size * size,) and states.shape == (size * size, code.dim)
     assert np.sum(w) == pytest.approx(1.0, abs=1e-14)
-    gw, th, ph = sphere_grid(size, size)
-    assert np.array_equal(w, gw)
-    assert np.array_equal(vecs, grid_unit_vectors(th, ph))
+    gw, th, ph = leggauss_grid(code.nspins)
+    assert np.max(np.abs(w - gw)) <= 1e-16
+    want = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=1)
+    assert np.max(np.abs(vecs - want)) <= 1e-14
     assert np.max(np.abs(states - _block_amplitudes(code, th, ph).T)) <= 1e-14
 
 
@@ -263,6 +284,21 @@ def test_von_neumann_entropy_reference_points():
     assert von_neumann_entropy(DensityMatrix(pure)) == 0.0
     mixed = np.eye(5) / 5.0
     assert von_neumann_entropy(DensityMatrix(mixed)) == pytest.approx(math.log2(5.0), abs=1e-12)
+
+
+def test_source_entropy_solves_one_spectrum(monkeypatch):
+    # the entropy reads the eigenvalues of DensityMatrix's positive
+    # semidefinite check instead of solving the D x D matrix again; one
+    # build beforehand caches the grid's Gauss-Legendre rule, itself an eigvalsh
+    code = fidelity.max_fidelity_rotation(12)[1]
+    source_density(code)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+    entropy = von_neumann_entropy(source_density(code))
+    assert calls == [(code.dim, code.dim)]
+    vals = eigvalsh(source_density(code).matrix)
+    assert entropy == -sum(v * math.log2(v) for v in vals.tolist() if v > 1e-15)
 
 
 def test_source_entropies_of_reference_codes():

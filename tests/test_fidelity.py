@@ -194,7 +194,7 @@ def test_fidelity_quadrature_covariant_in_decoder_direction(name, monkeypatch):
     def no_grid(*args):
         raise AssertionError("a +z decoder must not build the sphere grid")
 
-    monkeypatch.setattr(fidelity, "exact_sphere", no_grid)
+    monkeypatch.setattr(fidelity, "_decoded_fidelity", no_grid)
     assert fidelity_quadrature(code, decoder_direction=Direction(0.0, 1.3)) == fz
 
 

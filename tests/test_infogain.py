@@ -190,10 +190,3 @@ def test_maximize_alpha_location_and_value():
     assert gain > info_gain_quadrature(alpha_code(AlphaFamily(math.pi / 4.0)))
     assert gain > info_gain_quadrature(alpha_code(AlphaFamily(best + 0.02)))
     assert gain > info_gain_quadrature(alpha_code(AlphaFamily(best - 0.02)))
-
-
-def test_maximize_alpha_validation():
-    with pytest.raises(ValueError):
-        maximize_alpha(tol=0.0)
-    with pytest.raises(ValueError):
-        maximize_alpha(tol=1e-3)

@@ -7,8 +7,7 @@ import pytest
 
 from spinlab import povm
 from spinlab.codes import (AlphaFamily, MultiRepState, _block_amplitudes, alpha_code,
-                           coherent_code, decoder_coefficients, grid_unit_vectors,
-                           minimal_sn, sphere_grid)
+                           coherent_code, decoder_coefficients, minimal_sn)
 from spinlab.fidelity import fidelity_quadrature, max_fidelity_rotation
 from spinlab.povm import (FinitePovm, RingPovm, check_identity, octahedron_povm,
                           povm_fidelity_exact, quadrature_povm, simulate,
@@ -76,11 +75,16 @@ def test_quadrature_povm_rows_are_grid_decoder_states(nspins):
     assert (p.sn, p.nspins, p.ring_size) == (sn, nspins, nspins + 2)
     assert p.states.shape == (nspins + 2, p.dim)
     family = MultiRepState(sn, nspins, decoder_coefficients(sn, nspins).astype(complex))
-    w, th, ph = sphere_grid(nspins + 2, nspins + 2)
+    # the oracle grid: numpy's Gauss-Legendre rings, ring-major, N + 2 azimuths each
+    size = nspins + 2
+    x, wx = np.polynomial.legendre.leggauss(size)
+    th = np.repeat(np.arccos(x), size)
+    ph = np.tile(2.0 * math.pi * np.arange(size) / size, size)
     rows = p.rows()
-    assert np.array_equal(rows.weights, p.dim * w)
+    assert np.max(np.abs(rows.weights - p.dim * np.repeat(wx / 2.0 / size, size))) <= 1e-14
     assert np.max(np.abs(rows.states - _block_amplitudes(family, th, ph).T)) <= 1e-14
-    assert np.array_equal(rows.guesses, grid_unit_vectors(th, ph))
+    want = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=1)
+    assert np.max(np.abs(rows.guesses - want)) <= 1e-14
 
 
 def test_ring_povm_constructor_checks():
@@ -172,6 +176,20 @@ def test_povm_route_matches_quadrature_route(nspins):
     p = quadrature_povm(minimal_sn(nspins), nspins)
     assert povm_fidelity_exact(code, p) == pytest.approx(fidelity_quadrature(code), abs=1e-12)
     assert povm_fidelity_exact(code, p) == pytest.approx(f, abs=1e-10)
+
+
+@pytest.mark.parametrize("nspins, want", [
+    (10, "0x1.eeb652740500ep-1"), (11, "0x1.f0fd6ff039f0ap-1"), (12, "0x1.f2f8bc73e3118p-1"),
+    (None, "0x1.999999999999cp-1")])
+def test_povm_fidelity_exact_pinned(nspins, want):
+    # the grid decoders of the optimal codes and the octahedron on the d = 4
+    # coherent code, as float.hex with one BLAS thread (tests/conftest.py)
+    if nspins is None:
+        got = povm_fidelity_exact(coherent_code(4), octahedron_povm())
+    else:
+        code = max_fidelity_rotation(nspins)[1]
+        got = povm_fidelity_exact(code, quadrature_povm(minimal_sn(nspins), nspins))
+    assert got.hex() == want
 
 
 def test_povm_fidelity_exact_contracts():
