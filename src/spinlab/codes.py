@@ -273,19 +273,11 @@ def _turned_about_z(vecs: np.ndarray, count: int) -> np.ndarray:
     return np.stack([x * c - y * s, x * s + y * c, z.repeat(count, 1)], axis=2).reshape(-1, 3)
 
 
-def _ring_rows(sn: HalfInt, nspins: int, count: int, states: np.ndarray, vecs: np.ndarray):
-    """(states (T count, D), unit vectors (T count, 3)) of T rings over the tower (sn, N),
-    given at azimuth 0: point j count + l, at phi = 2 pi l / count, has ring j's state
-    times e^{-i m phi} per component of projection m and its vector turned by phi."""
-    rows = (states[:, None, :] * _tower_phases(sn, nspins, count)).reshape(-1, states.shape[1])
-    return rows, _turned_about_z(vecs, count)
-
-
 def _exact_rings(a: MultiRepState) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """The exact sphere grid of :func:`_exact_size` for a code family as its T polar
     rings at azimuth 0: (ring size P, weights (T,), states (T, dim), unit vectors
     (T, 3)). Ring j, at Gauss-Legendre node j in cos(theta), has P points of weight
-    w_j / 2 / P each (they sum to 1), which :func:`_ring_rows` turns to each azimuth."""
+    w_j / 2 / P each (they sum to 1), at the azimuths phi = 2 pi l / P."""
     size = _exact_size(a.nspins)
     rule = numerics.gauss_legendre(size)
     th = np.arccos(rule.nodes)
@@ -295,21 +287,32 @@ def _exact_rings(a: MultiRepState) -> tuple[int, np.ndarray, np.ndarray, np.ndar
 
 def _decoded_fidelity(a: MultiRepState, weights: np.ndarray, states: np.ndarray,
                       guesses: np.ndarray) -> float:
-    """sum_k w_k of the average over n of |<s_k|A(n)>|^2 (1 + n.g_k)/2, taken exactly
-    on the T P points of :func:`_exact_rings`, for outcomes k with weights w_k (K,),
-    unit states s_k (K, dim) and guesses g_k (K, 3)."""
+    """sum_k w_k of the average over n of |<s_k|A(n)>|^2 (1 + n.g_k)/2, exact on the grid
+    of :func:`_exact_rings`, for outcomes k with weights w_k (K,), unit states s_k (K, dim)
+    and guesses g_k (K, 3). With h_m the sum of conj(s_k) R_j over the components of
+    projection m, the overlap with ring j at azimuth phi is sum_m h_m e^{-i m phi} and the
+    score adds e^{+-i phi}, so Parseval over its P = N + 2 azimuths gives ring j the value
+    P w_j / 2 [(1 + cos theta_j g_z) sum_m |h_m|^2 + sin theta_j Re((g_x - i g_y) X)],
+    X = sum_m h_m conj(h_{m-1}): O(K T D) time and O(K T) memory, no grid point."""
     size, w, rings, vecs = _exact_rings(a)
-    points, dirs = _ring_rows(a.sn, a.nspins, size, rings, vecs)
-    prob = np.abs(states.conj() @ points.T) ** 2         # (outcomes, points)
-    score = (1.0 + guesses @ dirs.T) / 2.0
-    return float(np.sum(weights[:, None] * prob * score * np.repeat(w, size)[None, :]))
+    m = _tower_projections(a.sn, a.nspins)
+    h = np.zeros((weights.size, w.size), dtype=complex)  # no h_{m-1} below the lowest m
+    square, cross = np.zeros(h.shape), np.zeros(h.shape, dtype=complex)
+    for value in np.unique(m):  # ascending in steps of 1
+        idx = np.flatnonzero(m == value)
+        last, h = h, states[:, idx].conj() @ rings[:, idx].T           # (outcomes, rings)
+        square += h.real ** 2 + h.imag ** 2
+        cross += h * last.conj()
+    (gx, gy, gz), (sin_t, _, cos_t) = guesses.T[:, :, None], vecs.T
+    per_ring = (1.0 + gz * cos_t) * square + sin_t * (gx * cross.real + gy * cross.imag)
+    return float(weights @ per_ring @ (size * w)) / 2.0
 
 
 def _projection_blocks(sn: HalfInt, nspins: int, count: int, weights: np.ndarray,
                        states: np.ndarray):
-    """Blocks of sum_k w_k |s_k><s_k| over the points of :func:`_ring_rows`: T rings
-    of count >= N + 1 points, each point of ring j with weight ``weights[j]`` and
-    ring j's state R_j = ``states[j]`` (T, D) at azimuth 0.
+    """Blocks of sum_k w_k |s_k><s_k| over T rings of count >= N + 1 points, each
+    point of ring j with weight ``weights[j]`` and ring j's state R_j = ``states[j]``
+    (T, D) at azimuth 0, turned to azimuth phi by e^{-i m phi} per projection m.
 
     Parseval over each ring's azimuths makes the sum block-diagonal in the
     projection m. Yields, one pair per m, the indices of the components of

@@ -108,10 +108,10 @@ def fidelity_quadrature(code: MultiRepState, decoder: MultiRepState | None = Non
     D near x = 1, so its rounding grows as D eps: about 40 D eps at
     N = 1000.
 
-    Any other decoder direction keeps the whole grid over the sphere, as
-    one outcome of weight D, state B(m) and guess m of a finite POVM
-    (:func:`spinlab.codes._decoded_fidelity`); its agreement with the +z
-    value is the covariance cross-check.
+    Any other decoder direction takes the exact sphere grid, ring by ring
+    and projection by projection, as one outcome of weight D, state B(m)
+    and guess m of a finite POVM (:func:`spinlab.codes._decoded_fidelity`);
+    its agreement with the +z value is the covariance cross-check.
     """
     decoder = matched_decoder(code) if decoder is None else decoder
     if decoder.sn != code.sn or decoder.nspins != code.nspins:

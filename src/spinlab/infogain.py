@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy import special
 
 from . import numerics
 from .codes import AlphaFamily, MultiRepState, _axial_overlap, alpha_code, matched_decoder
@@ -46,6 +45,7 @@ def info_gain_quadrature(code: MultiRepState, decoder: MultiRepState | None = No
     not phase-matched take the same path. Raises unless q integrates to 1,
     i.e. unless the decoder resolves the identity.
     """
+    from scipy import special  # here, not at the top: importing spinlab loads no scipy
     decoder = matched_decoder(code) if decoder is None else decoder
     if decoder.sn != code.sn or decoder.nspins != code.nspins:
         raise ValueError("decoder must live on the code's irrep tower")

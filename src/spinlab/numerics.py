@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "Quadrature1D",
@@ -321,8 +320,9 @@ def tridiag_max_eigenpair(m: Tridiag) -> tuple[float, np.ndarray]:
     comes from inverse iteration at the eigenvalue, retried a bisection
     width above it if the solve overflows; a third Sturm count, at 1e-6
     below, tells it to iterate past the residual test, which alone leaves
-    an error of up to 1e-12 / gap. Its sign is fixed so its first nonzero
-    entry is positive. The scalar loops run on plain Python floats,
+    an error of up to 1e-12 / gap. Its sign makes its first entry above
+    1e-5 in size positive: ten times that error at the 1e-6 gap, so no
+    exact zero can decide it. The scalar loops run on plain Python floats,
     which are IEEE binary64 like numpy's float64.
 
     Raises
@@ -359,11 +359,8 @@ def tridiag_max_eigenpair(m: Tridiag) -> tuple[float, np.ndarray]:
         v = _inverse_iteration(m, lam, lam + tol, scale, settle)
     if v is None or not abs(float(v @ v) - 1.0) <= 1e-12:
         raise RuntimeError("inverse iteration did not reach a unit eigenvector")
-    for entry in v.tolist():
-        if abs(entry) > 1e-12:
-            if entry < 0.0:
-                v = -v
-            break
+    if v[np.flatnonzero(np.abs(v) > 1e-5)[0]] < 0.0:
+        v = -v
     return lam, v
 
 
@@ -394,4 +391,5 @@ def spectral_entropy(values: np.ndarray) -> float:
 
 def bessel_j0_first_zero() -> float:
     """First positive zero of the Bessel function J0, about 2.4048."""
+    from scipy import special  # here, not at the top: importing spinlab loads no scipy
     return float(special.jn_zeros(0, 1)[0])

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from . import numerics
-from .codes import (MultiRepState, _decoded_fidelity, _exact_rings, _projection_blocks, _ring_rows,
+from .codes import (MultiRepState, _decoded_fidelity, _exact_rings, _projection_blocks,
                     _tower_kernel, _tower_phases, _turned_about_z, decoder_coefficients)
 from .su2 import Direction, HalfInt, X_AXIS, Y_AXIS, Z_AXIS, _half_angle_terms, rotate_to
 
@@ -101,9 +101,12 @@ class RingPovm:
         return ((self.nspins + 2) ** 2 - self.sn.twice ** 2) // 4
 
     def rows(self) -> FinitePovm:
-        """The same measurement with each of its T P outcomes as one row."""
-        rows = _ring_rows(self.sn, self.nspins, self.ring_size, self.states, self.guesses)
-        return FinitePovm(self.dim, np.repeat(self.weights, self.ring_size), *rows)
+        """The same measurement with each of its T P outcomes as one row: outcome j P + l
+        is ring j turned about z by phi = 2 pi l / P, e^{-i m phi} per projection m."""
+        size = self.ring_size
+        states = self.states[:, None, :] * _tower_phases(self.sn, self.nspins, size)
+        return FinitePovm(self.dim, np.repeat(self.weights, size), states.reshape(-1, self.dim),
+                          _turned_about_z(self.guesses, size))
 
 
 def quadrature_povm(sn, nspins: int) -> RingPovm:
@@ -168,14 +171,18 @@ def povm_fidelity_exact(code: MultiRepState, p: FinitePovm | RingPovm) -> float:
 
     The average of sum_k w_k |<A(n)|s_k>|^2 (1 + n.g_k)/2 over the encoded
     direction n, exact on the grid of :func:`spinlab.codes._exact_rings`
-    (:func:`spinlab.codes._decoded_fidelity`). Refuses POVMs
-    that do not resolve the identity, since the result would not be a fidelity.
+    (:func:`spinlab.codes._decoded_fidelity`). A :class:`RingPovm` on the code's own
+    tower passes its T rings at P times their weight: outcome (j, l) is (j, 0) turned
+    about z, as is the code family, and the exact average does not see the turn.
+    Refuses POVMs that do not resolve the identity: the result would not be a fidelity.
     """
     if p.dim != code.dim:
         raise ValueError("POVM and code dimensions differ")
     deviation = check_identity(p)
     if deviation > 1e-10:
         raise ValueError(f"POVM does not resolve the identity (deviation {deviation:.3e})")
+    if isinstance(p, RingPovm) and (p.sn, p.nspins) == (code.sn, code.nspins):
+        return _decoded_fidelity(code, p.ring_size * p.weights, p.states, p.guesses)
     p = p.rows() if isinstance(p, RingPovm) else p
     return _decoded_fidelity(code, p.weights, p.states, p.guesses)
 

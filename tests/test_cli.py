@@ -199,17 +199,19 @@ def test_simulate_seeded_rows_pinned(args, row, capsys):
 
 
 def test_simulate_leaves_scipy_linalg_unimported():
-    # the sampler's Wigner-d tables come from numpy.linalg.eigh; importing
-    # scipy.linalg would add about 80 ms to every simulate call
+    # the sampler's Wigner-d tables come from numpy.linalg.eigh, and scipy.special
+    # is imported only where the J0 zero and the information gain need it; a
+    # scipy import would add 80-300 ms to every table and simulate call
     code = ("import sys; from spinlab import cli; "
-            "status = cli.main(['simulate', '--n', '12', '--shots', '1000']); "
-            "print(status, 'scipy.linalg' in sys.modules)")
+            "status = cli.main(sys.argv[1:]); "
+            "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert done.stdout.splitlines()[-1] == "0 False"
+    for args in (["table", "--max-n", "7"], ["simulate", "--n", "12", "--shots", "1000"]):
+        done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                              text=True, env=env, check=True)
+        assert done.stdout.splitlines()[-1] == "0 []", args
 
 
 def test_simulate_repeat_seed_identical(capsys):

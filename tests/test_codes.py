@@ -7,7 +7,7 @@ import pytest
 
 from spinlab import codes, fidelity, povm
 from spinlab.codes import (AlphaFamily, DensityMatrix, MultiRepState, _block_amplitudes,
-                           _exact_rings, _ring_rows, _tower_projections, alpha_code, alpha_state,
+                           _exact_rings, _tower_projections, alpha_code, alpha_state,
                            code_state, coherent_code, decoder_coefficients, decoder_state,
                            matched_decoder, minimal_sn, source_density, von_neumann_entropy)
 from spinlab.su2 import Direction, HalfInt, Z_AXIS, rotate_to
@@ -131,9 +131,20 @@ def test_matched_decoder_zero_amplitude_stays_real():
 
 def exact_grid(code):
     """(weights, states, unit vectors) at every point of the code's exact grid:
-    the rings of _exact_rings turned to each azimuth by _ring_rows."""
+    the rings of _exact_rings turned to each azimuth as RingPovm.rows() turns
+    a grid POVM's rings."""
     size, w, states, vecs = _exact_rings(code)
-    return (np.repeat(w, size), *_ring_rows(code.sn, code.nspins, size, states, vecs))
+    rows = povm.RingPovm(code.sn, code.nspins, size, w, states, vecs).rows()
+    return rows.weights, rows.states, rows.guesses
+
+
+def row_expansion_fidelity(code, weights, states, guesses):
+    """sum_k w_k |<s_k|A(n)>|^2 (1 + n.g_k)/2 summed over every point n of the code's
+    exact grid: the (K, (N + 2)^2) form of the decoded fidelity, kept as its reference."""
+    w, points, dirs = exact_grid(code)
+    prob = np.abs(states.conj() @ points.T) ** 2
+    score = (1.0 + guesses @ dirs.T) / 2.0
+    return float(np.sum(weights[:, None] * prob * score * w[None, :]))
 
 
 def leggauss_grid(nspins):
@@ -213,8 +224,7 @@ def test_source_density_builds_no_grid_rows(monkeypatch):
     # one block per projection m: no (N + 2)^2 x D rows, and exact zeros
     # between components of different m
     def refuse(*args):
-        raise AssertionError("source_density expanded the grid rows")
-    monkeypatch.setattr(codes, "_ring_rows", refuse)
+        raise AssertionError("source_density took the decoded-fidelity path")
     monkeypatch.setattr(codes, "_decoded_fidelity", refuse)
     code = fidelity.max_fidelity_rotation(12)[1]
     rho = source_density(code).matrix
@@ -239,20 +249,82 @@ def test_exact_sphere_rows_are_per_point_states(code):
 
 
 def test_ring_rows_turn_states_and_vectors_about_z():
-    # spins 3/2 and 1/2: point j P + l is ring j rotated by exp(-i phi_l J_z)
+    # spins 3/2 and 1/2: outcome j P + l is ring j rotated by exp(-i phi_l J_z)
     rng = np.random.default_rng(3)
     states = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
+    states /= np.linalg.norm(states, axis=1)[:, None]
     vecs = rng.normal(size=(4, 3))  # off the xz plane, unlike grid rings
-    rows, turned = _ring_rows(HalfInt(1), 3, 5, states, vecs)
+    vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+    rows = povm.RingPovm(HalfInt(1), 3, 5, rng.random(4) + 0.5, states, vecs).rows()
     m = np.array([1.5, 0.5, -0.5, -1.5, 0.5, -0.5])
     for j in range(4):
         for l in range(5):
             phi = 2.0 * math.pi * l / 5
             c, s = math.cos(phi), math.sin(phi)
             turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-            assert np.allclose(rows[5 * j + l], states[j] * np.exp(-1j * m * phi),
+            assert np.allclose(rows.states[5 * j + l], states[j] * np.exp(-1j * m * phi),
                                rtol=0.0, atol=1e-14)
-            assert np.allclose(turned[5 * j + l], turn @ vecs[j], rtol=0.0, atol=1e-14)
+            assert np.allclose(rows.guesses[5 * j + l], turn @ vecs[j], rtol=0.0, atol=1e-14)
+
+
+def assert_within_ulps(got, want, ulps=4):
+    assert abs(got - want) <= ulps * np.spacing(want), (got.hex(), want.hex())
+
+
+def reference_fidelity(code, p):
+    """row_expansion_fidelity of a POVM, with a RingPovm's outcomes written out."""
+    rows = p.rows() if isinstance(p, povm.RingPovm) else p
+    return row_expansion_fidelity(code, rows.weights, rows.states, rows.guesses)
+
+
+@pytest.mark.parametrize("nspins", [*range(1, 21), 33])
+def test_grid_fidelity_per_projection_matches_row_expansion(nspins):
+    code = fidelity.max_fidelity_rotation(nspins)[1]
+    p = povm.quadrature_povm(minimal_sn(nspins), nspins)
+    assert_within_ulps(povm.povm_fidelity_exact(code, p), reference_fidelity(code, p))
+
+
+def scarce_ring_povm(nspins):
+    """The grid POVM of N spins with the fewest outcomes per ring, P = N + 1."""
+    grid = povm.quadrature_povm(minimal_sn(nspins), nspins)
+    size = nspins + 1
+    return povm.RingPovm(grid.sn, nspins, size, grid.weights * grid.ring_size / size,
+                         grid.states, grid.guesses)
+
+
+def phased_ring_povm(nspins, seed):
+    """The grid POVM of N spins with a seeded phase on each tower component: complex
+    ring states, still resolving the identity."""
+    grid = povm.quadrature_povm(minimal_sn(nspins), nspins)
+    phases = np.exp(2j * math.pi * np.random.default_rng(seed).random(grid.dim))
+    return povm.RingPovm(grid.sn, nspins, grid.ring_size, grid.weights, grid.states * phases,
+                         grid.guesses)
+
+
+@pytest.mark.parametrize("code, make_povm", [
+    (coherent_code(4), povm.octahedron_povm),
+    (coherent_code(2), lambda: povm.von_neumann_pair(Direction(1.1, 2.3))),
+    (fidelity.max_fidelity_rotation(3)[1], lambda: scarce_ring_povm(3)),
+    (fidelity.max_fidelity_rotation(6)[1], lambda: scarce_ring_povm(6)),
+    (random_code(9, 2), lambda: scarce_ring_povm(9)),
+    (random_code(8, 5), lambda: phased_ring_povm(8, 5)),
+    # a grid POVM on the tower (0, 2) decoding the spin-3/2 code: through its rows
+    (coherent_code(4), lambda: povm.quadrature_povm(HalfInt(0), 2)),
+], ids=["octahedron", "von-neumann-pair", "ring-n3-p4", "ring-n6-p7", "ring-n9-p10",
+        "ring-n8-phased", "other-tower"])
+def test_povm_fidelity_per_projection_matches_row_expansion(code, make_povm):
+    p = make_povm()
+    assert_within_ulps(povm.povm_fidelity_exact(code, p), reference_fidelity(code, p))
+
+
+@pytest.mark.parametrize("nspins, seed", [(4, 1), (8, 2), (21, 3)])
+def test_off_axis_fidelity_per_projection_matches_row_expansion(nspins, seed):
+    code = random_code(nspins, seed)
+    decoder = matched_decoder(code)
+    for m in (Direction(1.1, 2.3), Direction(2.5, 0.3)):
+        want = row_expansion_fidelity(code, np.array([float(code.dim)]),
+                                      code_state(decoder, m)[None, :], m.unit_vector[None, :])
+        assert_within_ulps(fidelity.fidelity_quadrature(code, decoder_direction=m), want)
 
 
 @pytest.mark.parametrize("average", [

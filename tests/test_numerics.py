@@ -242,6 +242,16 @@ def test_tridiag_max_eigenpair_gap_threshold(delta, raises):
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_tridiag_max_eigenpair_sign_rule_holds_across_the_gap():
+    # above the 1e-6 settle threshold the residual test leaves vec[0] up to
+    # 1e-12 (1 + delta) / delta off its exact zero; the sign rule must look past
+    # it to vec[1] at every gap, not only below the threshold
+    for delta in np.logspace(-6.0, 0.0, 61):
+        _, vec = tridiag_max_eigenpair(Tridiag([1.0, 1.0 + delta], [0.0]))
+        assert vec[1] > 0.0, delta
+        assert abs(vec[0]) <= 1e-12 * (1.0 + delta) / delta, delta
+
+
 # Top eigenpairs of the fidelity matrices: the eigenvalue as float.hex and the
 # sha256 of the eigenvector's little-endian float64 bytes
 PINNED_EIGENPAIRS = [

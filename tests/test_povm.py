@@ -1,6 +1,7 @@
 """Finite decoding measurements and the Monte Carlo estimator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,8 +180,8 @@ def test_povm_route_matches_quadrature_route(nspins):
 
 
 @pytest.mark.parametrize("nspins, want", [
-    (10, "0x1.eeb652740500ep-1"), (11, "0x1.f0fd6ff039f0ap-1"), (12, "0x1.f2f8bc73e3118p-1"),
-    (None, "0x1.999999999999cp-1")])
+    (10, "0x1.eeb6527405010p-1"), (11, "0x1.f0fd6ff039f0ap-1"), (12, "0x1.f2f8bc73e3117p-1"),
+    (None, "0x1.999999999999bp-1")])
 def test_povm_fidelity_exact_pinned(nspins, want):
     # the grid decoders of the optimal codes and the octahedron on the d = 4
     # coherent code, as float.hex with one BLAS thread (tests/conftest.py)
@@ -190,6 +191,32 @@ def test_povm_fidelity_exact_pinned(nspins, want):
         code = max_fidelity_rotation(nspins)[1]
         got = povm_fidelity_exact(code, quadrature_povm(minimal_sn(nspins), nspins))
     assert got.hex() == want
+
+
+def test_ring_povm_fidelity_reads_rings_not_rows(monkeypatch):
+    # on the code's own tower every outcome of a ring gives its ring's value
+    def refuse(self):
+        raise AssertionError("a ring POVM on the code's tower wrote out its rows")
+    f, code = max_fidelity_rotation(9)
+    p = quadrature_povm(minimal_sn(9), 9)
+    monkeypatch.setattr(RingPovm, "rows", refuse)
+    assert povm_fidelity_exact(code, p) == pytest.approx(f, abs=1e-14)
+
+
+@pytest.mark.parametrize("nspins", [64, 128])
+def test_large_grid_fidelity_attains_the_eigen_route(nspins):
+    # (N + 2)^2 outcomes against (N + 2)^2 points took 725 MB at N = 64 and
+    # would take about 11 GB at N = 128; per ring and projection it is 17 MB
+    f, code = max_fidelity_rotation(nspins)
+    p = quadrature_povm(minimal_sn(nspins), nspins)
+    tracemalloc.start()
+    try:
+        got = povm_fidelity_exact(code, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == pytest.approx(f, abs=1e-13)
+    assert peak < 64 * 2 ** 20
 
 
 def test_povm_fidelity_exact_contracts():
