@@ -26,7 +26,7 @@ from .su2 import (Direction, HalfInt, X_AXIS, overlap_sq_32, peres_generators,
 
 # largest --n for the grid POVM. The ring sampler's fold table, T x 2(N + 1) x
 # 2(N // 2 + 1) floats over T = N + 2 rings, grows as N^3 (35 MB at N = 128),
-# so the cap bounds memory; it is also where su2._half_angle_terms is tested
+# so the cap bounds memory; it is also where the sampler's harmonics are tested
 GRID_MAX_N = 128
 
 
@@ -38,10 +38,15 @@ def _format_value(v) -> str:
     return str(v)
 
 
+def _json_value(v):
+    """v, or None for a non-finite float, which JSON (RFC 8259) cannot write."""
+    return None if isinstance(v, (float, np.floating)) and not math.isfinite(v) else v
+
+
 def _emit(headers: list[str], rows: list[tuple], fmt: str, out: str | None) -> None:
     if fmt == "json":
-        payload = [dict(zip(headers, row)) for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
+        payload = [{h: _json_value(v) for h, v in zip(headers, row)} for row in rows]
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         lines = [",".join(headers)]
         lines.extend(",".join(_format_value(v) for v in row) for row in rows)
@@ -88,7 +93,8 @@ def cmd_simulate(n: int, povm_kind: str, shots: int, seed: int,
         reference, code = fidelity.max_fidelity_rotation(n)
         meas = povm.quadrature_povm(minimal_sn(n), n)
     mean, stderr = povm.simulate(code, meas, shots, seed)
-    z = 0.0 if stderr == 0.0 else (mean - reference) / stderr
+    # no z-score without a positive finite stderr, as for a single shot
+    z = (mean - reference) / stderr if 0.0 < stderr < math.inf else 0.0
     headers = ["n", "povm", "shots", "seed", "f_hat", "stderr", "f_exact", "z_score"]
     _emit(headers, [(n, povm_kind, shots, seed, mean, stderr, reference, z)], fmt, out)
     return 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .su2 import (Direction, HalfInt, _d_diagonal_cosines, _d_fourier, _half_angle_trig,
+from .su2 import (Direction, HalfInt, _d_diagonal_cosines, _d_fourier, _half_angle_terms,
                   _projection_values)
 
 # angles per cosine-series call of the +z overlap: temporaries of N // 2 + 1
@@ -76,13 +76,9 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        if not np.max(np.abs(m - m.conj().T)) <= 1e-10:
-            raise ValueError("matrix must be Hermitian")
+        vals = numerics.hermitian_eigenvalues(m)
         if not abs(np.trace(m).real - 1.0) <= 1e-10:
             raise ValueError("trace must be 1")
-        vals = np.linalg.eigvalsh(m)
         if not float(vals[0]) >= -1e-10:
             raise ValueError("matrix must be positive semidefinite")
         object.__setattr__(self, "matrix", m)
@@ -136,7 +132,7 @@ def _tower_kernel(code: MultiRepState) -> tuple[np.ndarray, list[tuple[slice, sl
     table, shape (D, 2n) with n = N // 2 + 1, stacks each block's
     :func:`spinlab.su2._d_fourier` table like the code's components, zero
     past the block's own spin, so that table times the half-angle harmonics
-    of spin N/2 (:func:`spinlab.su2._half_angle_trig` or ``_half_angle_terms``)
+    of spin N/2 (:func:`spinlab.su2._half_angle_terms`)
     gives every block's d-column at once. blocks lists, per block S, the
     slice of its rows among the D components and the slice of the N + 1
     projection slots m = N/2, ..., -N/2 that its projections S, ..., -S fill.
@@ -162,7 +158,7 @@ def _block_amplitudes(a: MultiRepState, thetas: np.ndarray, phis: np.ndarray) ->
     d-columns from :func:`_tower_kernel` at once, times e^{-i m phi} per
     projection slot and each block's coefficient."""
     table, blocks = _tower_kernel(a)
-    d = table @ _half_angle_trig(thetas, a.nspins)
+    d = table @ _half_angle_terms(np.exp(0.5j * thetas), a.nspins)
     phases = np.exp(np.multiply.outer(-1j * _projection_values(HalfInt(a.nspins)), phis))
     out = np.empty(d.shape, dtype=complex)
     for coeff, (rows, slots) in zip(a.coeffs, blocks):
@@ -293,7 +289,8 @@ def _decoded_fidelity(a: MultiRepState, weights: np.ndarray, states: np.ndarray,
     projection m, the overlap with ring j at azimuth phi is sum_m h_m e^{-i m phi} and the
     score adds e^{+-i phi}, so Parseval over its P = N + 2 azimuths gives ring j the value
     P w_j / 2 [(1 + cos theta_j g_z) sum_m |h_m|^2 + sin theta_j Re((g_x - i g_y) X)],
-    X = sum_m h_m conj(h_{m-1}): O(K T D) time and O(K T) memory, no grid point."""
+    X = sum_m h_m conj(h_{m-1}): O(K T D) time and O(K T) memory, no grid point; the
+    K T ring values are summed exactly (math.fsum), which bounds the rounding."""
     size, w, rings, vecs = _exact_rings(a)
     m = _tower_projections(a.sn, a.nspins)
     h = np.zeros((weights.size, w.size), dtype=complex)  # no h_{m-1} below the lowest m
@@ -305,7 +302,7 @@ def _decoded_fidelity(a: MultiRepState, weights: np.ndarray, states: np.ndarray,
         cross += h * last.conj()
     (gx, gy, gz), (sin_t, _, cos_t) = guesses.T[:, :, None], vecs.T
     per_ring = (1.0 + gz * cos_t) * square + sin_t * (gx * cross.real + gy * cross.imag)
-    return float(weights @ per_ring @ (size * w)) / 2.0
+    return math.fsum((weights[:, None] * per_ring * (size * w)).ravel().tolist()) / 2.0
 
 
 def _projection_blocks(sn: HalfInt, nspins: int, count: int, weights: np.ndarray,

@@ -24,9 +24,7 @@ __all__ = [
     "bessel_j0_first_zero",
     "gauss_legendre",
     "hermitian_eigenvalues",
-    "jacobi01_eval",
     "largest_zero",
-    "legendre_eval",
     "spectral_entropy",
     "tridiag_max_eigenpair",
 ]
@@ -115,24 +113,6 @@ def gauss_legendre(order: int) -> Quadrature1D:
     if order < 1:
         raise ValueError("order must be >= 1")
     return _gauss_legendre_cached(order)
-
-
-def legendre_eval(l: int, x):
-    """Evaluate the Legendre polynomial P_l at x (scalar or ndarray)."""
-    if l < 0:
-        raise ValueError("degree must be nonnegative")
-    return _eval_with_derivative(_three_terms("legendre", l), x)[0]
-
-
-def jacobi01_eval(l: int, x):
-    """Evaluate the Jacobi polynomial with weight (1+x), normalized to 1 at x=1.
-
-    Three-term recursion derived from the general Jacobi recurrence at
-    parameters (0, 1); scalar or ndarray argument.
-    """
-    if l < 0:
-        raise ValueError("degree must be nonnegative")
-    return _eval_with_derivative(_three_terms("jacobi01", l), x)[0]
 
 
 def _three_terms(kind: str, l: int) -> list[tuple[float, float, float]]:

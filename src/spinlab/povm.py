@@ -17,7 +17,7 @@ from numpy.polynomial import chebyshev
 from . import numerics
 from .codes import (MultiRepState, _decoded_fidelity, _exact_rings, _projection_blocks,
                     _tower_kernel, _tower_phases, _turned_about_z, decoder_coefficients)
-from .su2 import Direction, HalfInt, X_AXIS, Y_AXIS, Z_AXIS, _half_angle_terms, rotate_to
+from .su2 import Direction, HalfInt, X_AXIS, Y_AXIS, Z_AXIS, _half_angle_terms, _powers, rotate_to
 
 # chunk size for vectorized sampling; fixed so a seed gives one stream
 _CHUNK = 1 << 17
@@ -216,18 +216,9 @@ def _first_reaching(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum((cum < u[None, :]).sum(axis=0), cum.shape[0] - 1)
 
 
-def _slot_phases(nspins: int, turn: np.ndarray) -> np.ndarray:
-    """e^{i j phi} for the slots j = 0, ..., N, shape (N + 1, shots), from turn = e^{i phi}.
-
-    Slot j holds projection m = N/2 - j, whose phase e^{-i m phi} is
-    e^{i j phi} times e^{-i N phi / 2}; that factor is common to every
-    component of a shot's state, so no probability sees it.
-    """
-    out = np.empty((nspins + 1, turn.size), dtype=complex)
-    out[0] = 1.0
-    for j in range(1, nspins + 1):
-        np.multiply(out[j - 1], turn, out=out[j])
-    return out
+def _half_turn(x: np.ndarray) -> np.ndarray:
+    """e^{i theta/2} from x = cos(theta), theta in [0, pi], by two square roots."""
+    return np.sqrt((1.0 + x) / 2.0) + 1j * np.sqrt((1.0 - x) / 2.0)
 
 
 def _generic_sampler(code: MultiRepState, p: FinitePovm):
@@ -236,16 +227,16 @@ def _generic_sampler(code: MultiRepState, p: FinitePovm):
     The returned function maps (cos(theta), e^{i phi}, u) of a sub-block of
     shots to outcome indices: each shot fires the first outcome whose
     cumulative probability w_k |<s_k|A(n)>|^2 reaches u. The code state
-    is the tower's d-columns times the slot phases; the code's
-    coefficients are folded into the bras once.
+    is the tower's d-columns times e^{i j phi} in slot j, m = N/2 - j (the common
+    e^{-i N phi/2} drops out); the code's coefficients are folded into the bras once.
     """
     table, blocks = _tower_kernel(code)
     bras = p.states.conj() * np.repeat(code.coeffs, [s.twice + 1 for s in code.spins])
     weights = p.weights[:, None]
 
     def draw(x: np.ndarray, turn: np.ndarray, u: np.ndarray) -> np.ndarray:
-        d = table @ _half_angle_terms(x, code.nspins)                   # (D, shots)
-        phases = _slot_phases(code.nspins, turn)
+        d = table @ _half_angle_terms(_half_turn(x), code.nspins)       # (D, shots)
+        phases = _powers(1.0, turn, code.nspins + 1)
         amp = np.empty(d.shape, dtype=complex)
         for rows, slots in blocks:
             np.multiply(d[rows], phases[slots], out=amp[rows])
@@ -287,7 +278,7 @@ def _ring_sampler(code: MultiRepState, p: RingPovm):
     to_ring = _tower_phases(HalfInt(code.nspins), code.nspins, size).conj()  # (P, N + 1)
 
     def ring_probabilities(x: np.ndarray) -> np.ndarray:
-        g = fold @ _half_angle_terms(x, code.nspins)                    # (T, 2(N + 1), nodes)
+        g = fold @ _half_angle_terms(_half_turn(x), code.nspins)        # (T, 2(N + 1), nodes)
         return ((size * ring_weights)[:, None] * np.sum(np.square(g, out=g), axis=1)).T
 
     coef = chebyshev.chebinterpolate(ring_probabilities, code.nspins).T  # (T, N + 1)
@@ -303,7 +294,7 @@ def _ring_sampler(code: MultiRepState, p: RingPovm):
         ring = ring[order]
         own = fitted[ring, order]
         base = cum[ring, order] - own
-        terms = _half_angle_terms(x[order], code.nspins)
+        terms = _half_angle_terms(_half_turn(x[order]), code.nspins)
         parts = np.empty((2 * nslots, x.size))
         lo = 0
         for j, hi in enumerate(np.cumsum(np.bincount(ring, minlength=ring_weights.size))):
@@ -312,7 +303,11 @@ def _ring_sampler(code: MultiRepState, p: RingPovm):
         g = np.empty((nslots, x.size), dtype=complex)                    # g_jm e^{i j phi}
         g.real = parts[:nslots]
         g.imag = parts[nslots:]
-        g *= _slot_phases(code.nspins, turn[order])
+        # free what is dead before the largest temporaries: once a sub-block's heap
+        # passes glibc's trim threshold (4 MB after the 2 MB chunk arrays), every
+        # sub-block faults its pages in again
+        del fitted, cum, terms, parts
+        g *= _powers(1.0, turn[order], nslots)
         probs = _abs2(to_ring @ g)                                       # (P, shots)
         probs *= ring_weights[ring]
         worst = float(np.max(np.abs(probs.sum(axis=0) - own)))
@@ -363,9 +358,10 @@ def simulate(code: MultiRepState, p: FinitePovm | RingPovm, shots: int,
     Each shot fires the first outcome whose cumulative probability reaches
     a uniform u. Both paths read the Wigner-d columns from fixed half-angle
     Fourier tables (:func:`spinlab.su2._d_fourier`) times cos and sin of
-    k theta/2 built by angle addition from the drawn cos(theta), and the
-    phases e^{-i m phi} as powers of e^{i phi}, so the draw calls no
-    trigonometric function of theta:
+    k theta/2 and the phases e^{-i m phi}, both as powers
+    (:func:`spinlab.su2._powers`) of e^{i theta/2} = sqrt((1+x)/2) +
+    i sqrt((1-x)/2) at the drawn x = cos(theta) and of e^{i phi}, so the
+    draw calls no trigonometric function of theta:
 
     * Ring path (:func:`_ring_sampler`), for a :class:`RingPovm` on the
       code's own tower (sn, N): (N + 1) T operations for the ring, one

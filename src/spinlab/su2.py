@@ -92,22 +92,26 @@ class Direction:
     """Point on the unit sphere, stored as polar angles.
 
     theta is the polar angle from +z in [0, pi]; phi is the azimuth,
-    normalized into [0, 2*pi).
+    finite, normalized into [0, 2*pi).
     """
 
     theta: float
     phi: float
 
     def __post_init__(self):
-        theta = float(self.theta)
+        theta, phi = float(self.theta), float(self.phi)
         if not 0.0 <= theta <= math.pi:
             raise ValueError("theta must lie in [0, pi]")
+        if not math.isfinite(phi):
+            raise ValueError("phi must be finite")
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
+        object.__setattr__(self, "phi", phi % (2.0 * math.pi))
 
     @classmethod
     def from_cartesian(cls, x: float, y: float, z: float) -> "Direction":
-        norm = math.sqrt(x * x + y * y + z * z)
+        if not all(map(math.isfinite, (x, y, z))):
+            raise ValueError("the components must be finite")
+        norm = math.hypot(x, y, z)  # scaled: no overflow or underflow of the squares
         if norm == 0.0:
             raise ValueError("the zero vector has no direction")
         return cls(math.acos(max(-1.0, min(1.0, z / norm))), math.atan2(y, x))
@@ -234,7 +238,7 @@ def _d_fourier(twice: int, twice_mp: int) -> np.ndarray:
     from :func:`_sy_tridiagonal`, so row k of w is i^(k - k') U[k] U[k'],
     k' the row of m'. The pairs lam = +-k/2 fold into F of shape (2S+1, 2n),
     n = floor(S) + 1, with d^S_{m,m'}(theta) = sum_i F[m, i] c_i +
-    F[m, n + i] s_i for the harmonics c_i, s_i of :func:`_half_angle_trig`.
+    F[m, n + i] s_i for the harmonics c_i, s_i of :func:`_half_angle_terms`.
     """
     lam, u, fold = _sy_tridiagonal(twice)
     col = (twice - twice_mp) // 2
@@ -250,45 +254,28 @@ def _d_fourier(twice: int, twice_mp: int) -> np.ndarray:
     return table
 
 
-def _half_angle_trig(theta, twice: int) -> np.ndarray:
-    """The harmonics of :func:`_d_fourier` for spins up to twice/2 at angle(s) theta.
+def _powers(first, step, count: int) -> np.ndarray:
+    """first * step**k for k < count, shape (count,) + shape(step), by repeated multiplication."""
+    out = np.empty((count,) + np.shape(step), dtype=complex)
+    out[0] = first
+    for k in range(1, count):
+        np.multiply(out[k - 1], step, out=out[k, ...])  # [k, ...]: a view for scalar steps too
+    return out
 
-    Returns shape (2n,) + shape(theta), n = twice // 2 + 1: cos(k theta/2)
-    for k = twice mod 2, twice mod 2 + 2, ..., twice, then sin(k theta/2)
-    for the same k, by one trigonometric call each. Unlike
-    :func:`_half_angle_terms` they take theta itself, so they keep full
-    relative precision near theta = 0.
+
+def _half_angle_terms(half, twice: int) -> np.ndarray:
+    """The harmonics of :func:`_d_fourier` for spins up to twice/2 at half = e^{i theta/2}.
+
+    Returns shape (2n,) + shape(half), n = twice // 2 + 1: cos(k theta/2), then
+    sin(k theta/2), for k = twice mod 2, ..., twice in steps of 2, the parts of the
+    powers e^{i k theta/2} (:func:`_powers`); a lower spin of the same parity reads
+    the first columns of each half. Pass exp(0.5j theta), which keeps full relative
+    precision near theta = 0, or sqrt((1+x)/2) + i sqrt((1-x)/2) from x = cos(theta),
+    with no trig call. The tests hold the terms to 1e-13 of the trig form for
+    twice <= 401.
     """
-    angles = np.multiply.outer(np.arange(twice // 2 + 1) + (twice % 2) / 2.0, theta)
-    return np.concatenate([np.cos(angles), np.sin(angles)])
-
-
-def _half_angle_terms(x: np.ndarray, twice: int) -> np.ndarray:
-    """The harmonics of :func:`_d_fourier` for spins up to twice/2 at theta = arccos(x).
-
-    Returns shape (2n, npoints), n = twice // 2 + 1: cos(k theta/2) for
-    k = twice mod 2, twice mod 2 + 2, ..., twice, then sin(k theta/2) for
-    the same k. A table of any lower spin of the same parity reads the
-    first columns of each half. No trigonometric call: with theta in
-    [0, pi], cos(theta/2) = sqrt((1+x)/2) and sin(theta/2) = sqrt((1-x)/2),
-    and each next k adds theta by the angle-addition rule with cos theta = x
-    and sin theta = sqrt((1-x)(1+x)). Rounding grows by about one unit per
-    step, so the terms hold to about 1e-14 for twice <= 128.
-    """
-    n = twice // 2 + 1
-    out = np.empty((2, n, x.size))
-    cos, sin = out
-    if twice % 2:
-        cos[0] = np.sqrt((1.0 + x) / 2.0)
-        sin[0] = np.sqrt((1.0 - x) / 2.0)
-    else:
-        cos[0] = 1.0
-        sin[0] = 0.0
-    sin_theta = np.sqrt((1.0 - x) * (1.0 + x))
-    for i in range(1, n):
-        cos[i] = cos[i - 1] * x - sin[i - 1] * sin_theta
-        sin[i] = sin[i - 1] * x + cos[i - 1] * sin_theta
-    return out.reshape(2 * n, x.size)
+    z = _powers(half if twice % 2 else 1.0, half * half, twice // 2 + 1)
+    return np.concatenate([z.real, z.imag])
 
 
 def wigner_small_d(s, m, mp, theta):
@@ -309,10 +296,10 @@ def wigner_small_d(s, m, mp, theta):
     Notes
     -----
     Reads row m of the column table :func:`_d_fourier` (cached per spin and
-    column) times cos and sin of k theta/2 (:func:`_half_angle_trig`), so
-    each angle costs O(S). No sum cancels, so the elements stay unitary to
-    rounding; the tests hold columns to 1e-13 up to 2S = 401, and
-    off-diagonal elements to 1e-13 down to theta = 1e-300.
+    column) times cos and sin of k theta/2 (:func:`_half_angle_terms` of
+    e^{i theta/2}), so each angle costs O(S). No sum cancels, so the elements
+    stay unitary to rounding; the tests hold columns to 1e-13 up to 2S = 401,
+    and off-diagonal elements to 1e-13 down to theta = 1e-300.
     """
     s = HalfInt.of(s)
     m = HalfInt.of(m)
@@ -321,7 +308,7 @@ def wigner_small_d(s, m, mp, theta):
     _check_projection(s, mp)
     theta_arr = np.asarray(theta, dtype=float)
     row = _d_fourier(s.twice, mp.twice)[(s.twice - m.twice) // 2]
-    out = row @ _half_angle_trig(theta_arr.ravel(), s.twice)
+    out = row @ _half_angle_terms(np.exp(0.5j * theta_arr.ravel()), s.twice)
     if np.ndim(theta) == 0:
         return float(out[0])
     return out.reshape(theta_arr.shape)
@@ -336,7 +323,7 @@ def rotate_to(s, m, n: Direction) -> SpinKet:
     s = HalfInt.of(s)
     m = HalfInt.of(m)
     _check_projection(s, m)
-    column = _d_fourier(s.twice, m.twice) @ _half_angle_trig(n.theta, s.twice)
+    column = _d_fourier(s.twice, m.twice) @ _half_angle_terms(np.exp(0.5j * n.theta), s.twice)
     return SpinKet(s, np.exp(-1j * _projection_values(s) * n.phi) * column)
 
 

@@ -230,6 +230,24 @@ def test_simulate_json_keys(capsys):
                                "stderr", "f_exact", "z_score"}
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+@pytest.mark.parametrize("seed", [0, 5])  # f_hat below f_exact at seed 0, above at 5
+def test_simulate_single_shot_json_is_strict(capsys, seed):
+    args = ["simulate", "--n", "3", "--shots", "1", "--seed", str(seed)]
+    code, out = run_cli([*args, "--format", "json"], capsys)
+    assert code == 0
+    row = json.loads(out, parse_constant=reject_constant)[0]
+    assert row["stderr"] is None
+    assert row["z_score"] == 0.0 and math.copysign(1.0, row["z_score"]) == 1.0
+    # CSV keeps the infinite stderr and writes the z-score as 0
+    _, csv_out = run_cli(args, capsys)
+    _, rows = parse_csv(csv_out)
+    assert rows[0]["stderr"] == "inf" and rows[0]["z_score"] == "0"
+
+
 def test_infogain_closed_table(capsys):
     code, out = run_cli(["infogain", "--mode", "closed"], capsys)
     assert code == 0

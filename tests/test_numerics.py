@@ -6,13 +6,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.special import roots_jacobi, roots_legendre
+from scipy.special import eval_jacobi, eval_legendre, roots_jacobi, roots_legendre
 
 from spinlab import numerics
 from spinlab.fidelity import build_m, max_fidelity_rotation
 from spinlab.numerics import (Quadrature1D, Tridiag, bessel_j0_first_zero,
-                              gauss_legendre, hermitian_eigenvalues, jacobi01_eval, largest_zero,
-                              legendre_eval, tridiag_max_eigenpair)
+                              gauss_legendre, hermitian_eigenvalues, largest_zero,
+                              tridiag_max_eigenpair)
 
 # Hand-expanded low-degree members of both families, the ground truth the
 # recursions are checked against.
@@ -83,27 +83,32 @@ def test_quadrature1d_validation():
             Quadrature1D(nodes, weights)
 
 
+def recursion_value(kind, l, x):
+    """The family's value at x from the three-term recursion behind largest_zero."""
+    return numerics._eval_with_derivative(numerics._three_terms(kind, l), x)[0]
+
+
 @pytest.mark.parametrize("l,coeffs", sorted(LEGENDRE_COEFFS.items()))
 def test_legendre_eval_matches_hand_expansion(l, coeffs):
     xs = np.linspace(-1.0, 1.0, 41)
-    assert np.max(np.abs(legendre_eval(l, xs) - poly_value(coeffs, xs))) < 1e-14
+    assert np.max(np.abs(recursion_value("legendre", l, xs) - poly_value(coeffs, xs))) < 1e-14
 
 
 @pytest.mark.parametrize("l,coeffs", sorted(JACOBI01_COEFFS.items()))
 def test_jacobi01_eval_matches_hand_expansion(l, coeffs):
     xs = np.linspace(-1.0, 1.0, 41)
-    assert np.max(np.abs(jacobi01_eval(l, xs) - poly_value(coeffs, xs))) < 1e-14
+    assert np.max(np.abs(recursion_value("jacobi01", l, xs) - poly_value(coeffs, xs))) < 1e-14
 
 
 def test_both_families_are_one_at_one():
     for l in range(0, 31):
-        assert legendre_eval(l, 1.0) == pytest.approx(1.0, abs=1e-12)
-        assert jacobi01_eval(l, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert recursion_value("legendre", l, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert recursion_value("jacobi01", l, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eval_scalar_returns_scalar_and_broadcasts():
-    assert isinstance(float(legendre_eval(3, 0.3)), float)
-    out = jacobi01_eval(3, np.zeros((2, 5)))
+    assert isinstance(float(recursion_value("legendre", 3, 0.3)), float)
+    out = recursion_value("jacobi01", 3, np.zeros((2, 5)))
     assert out.shape == (2, 5)
 
 
@@ -125,8 +130,8 @@ def test_largest_zero_against_scipy(l):
 def test_largest_zero_residual_small():
     # evaluation noise grows with degree, so the strict bound stays at l <= 40
     for l in range(1, 41):
-        assert abs(legendre_eval(l, largest_zero("legendre", l))) < 1e-13
-        assert abs(jacobi01_eval(l, largest_zero("jacobi01", l))) < 1e-13
+        assert abs(eval_legendre(l, largest_zero("legendre", l))) < 1e-13
+        assert abs(eval_jacobi(l, 0, 1, largest_zero("jacobi01", l))) < 1e-13
 
 
 def test_largest_zero_equals_max_gauss_node():

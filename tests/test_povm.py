@@ -180,7 +180,7 @@ def test_povm_route_matches_quadrature_route(nspins):
 
 
 @pytest.mark.parametrize("nspins, want", [
-    (10, "0x1.eeb6527405010p-1"), (11, "0x1.f0fd6ff039f0ap-1"), (12, "0x1.f2f8bc73e3117p-1"),
+    (10, "0x1.eeb652740500dp-1"), (11, "0x1.f0fd6ff039f0ap-1"), (12, "0x1.f2f8bc73e3118p-1"),
     (None, "0x1.999999999999bp-1")])
 def test_povm_fidelity_exact_pinned(nspins, want):
     # the grid decoders of the optimal codes and the octahedron on the d = 4
@@ -360,8 +360,8 @@ def test_simulate_ring_check_catches_nan(monkeypatch):
     # per-ring comparison can notice them
     _, code = max_fidelity_rotation(3)
     p = quadrature_povm(minimal_sn(3), 3)
-    monkeypatch.setattr(povm, "_slot_phases",
-                        lambda n, turn: np.full((n + 1, turn.size), math.nan))
+    monkeypatch.setattr(povm, "_powers",
+                        lambda first, step, count: np.full((count, step.size), math.nan))
     with pytest.raises(RuntimeError, match="fitted probability"):
         simulate(code, p, 1000, 0)
 

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from spinlab import su2
+from spinlab import povm, su2
 from spinlab.su2 import (Direction, HalfInt, SpinKet, X_AXIS, Y_AXIS, Z_AXIS,
                          entanglement_entropy, overlap_sq_32, peres_generators,
                          projections, rotate_to, spin_operators, wigner_small_d)
@@ -51,12 +51,33 @@ def test_direction_validation_and_normalization():
     assert Direction(1.0, 2.0 * math.pi + 0.5).phi == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+def test_direction_rejects_non_finite_azimuth(phi):
+    with pytest.raises(ValueError, match="phi must be finite"):
+        Direction(0.5, phi)
+
+
+@pytest.mark.parametrize("xyz", [(math.nan, 0.0, 1.0), (0.0, math.inf, 1.0),
+                                 (1.0, 0.0, -math.inf)])
+def test_direction_from_cartesian_rejects_non_finite_components(xyz):
+    with pytest.raises(ValueError, match="finite"):
+        Direction.from_cartesian(*xyz)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_direction_from_cartesian_takes_any_finite_scale(scale):
+    # the squares of these components under- or overflow
+    d = Direction.from_cartesian(scale, scale, scale * math.sqrt(2.0))
+    assert d.theta == pytest.approx(math.pi / 4.0, abs=1e-15)
+    assert d.phi == pytest.approx(math.pi / 4.0, abs=1e-15)
+
+
 def test_direction_cartesian_round_trip():
     d = Direction(0.8, 2.2)
     back = Direction.from_cartesian(*d.unit_vector)
     assert back.theta == pytest.approx(d.theta, abs=1e-14)
     assert back.phi == pytest.approx(d.phi, abs=1e-14)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero vector"):
         Direction.from_cartesian(0.0, 0.0, 0.0)
 
 
@@ -166,6 +187,40 @@ def _expm_column(twice_s, twice_mp, thetas):
     return expm(np.multiply.outer(-1j * angles, sy))[:, :, col].real.T[:, back]
 
 
+def test_powers_are_repeated_products():
+    rng = np.random.default_rng(4)
+    step = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 7)) * rng.uniform(0.9, 1.1, 7)
+    first = 0.3 - 0.8j
+    got = su2._powers(first, step, 40)
+    assert got.shape == (40, 7)
+    assert np.all(got[0] == first) and np.all(got[1] == first * step)
+    want = first * np.power.outer(step, np.arange(40)).T
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+    # a scalar step gives one power per row
+    assert su2._powers(1.0, 1j, 5).tolist() == [1, 1j, -1, -1j, 1]
+
+
+def half_angle_trig(theta, twice):
+    """The trigonometric form of the half-angle harmonics, one cos and one sin
+    call per harmonic and angle: cos(k theta/2), then sin(k theta/2), for
+    k = twice mod 2, ..., twice, shape (2n,) + shape(theta)."""
+    angles = np.multiply.outer(np.arange(twice // 2 + 1) + (twice % 2) / 2.0, theta)
+    return np.concatenate([np.cos(angles), np.sin(angles)])
+
+
+@pytest.mark.parametrize("twice_s", [1, 2, 7, 40, 129, 200, 401])
+def test_theta_seeded_half_angle_terms_match_trig(twice_s):
+    # powers of e^{i theta/2} against one trig call per harmonic, absolute
+    # everywhere and relative near theta = 0, where sin(k theta/2) is tiny
+    theta = np.array([1e-300, 1e-12, 1e-8, 1e-5, math.pi - 1e-8, *THETAS])
+    got = su2._half_angle_terms(np.exp(0.5j * theta), twice_s)
+    want = half_angle_trig(theta, twice_s)
+    assert got.shape == want.shape == (2 * (twice_s // 2 + 1), theta.size)
+    assert np.max(np.abs(got - want)) < 1e-13
+    small = theta <= 1e-5
+    assert np.all(np.abs(got - want)[:, small] <= 1e-13 * np.abs(want)[:, small])
+
+
 @settings(deadline=None)
 @given(st.integers(0, 128), st.data(),
        st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20))
@@ -174,7 +229,7 @@ def test_half_angle_kernel_matches_d_column(twice_s, data, xs):
     twice_mp = data.draw(st.sampled_from(range(-twice_s, twice_s + 1, 2)))
     x = np.array([-1.0, 1.0, *xs])
     n = twice_s // 2 + 1
-    terms = su2._half_angle_terms(x, twice_s)
+    terms = su2._half_angle_terms(povm._half_turn(x), twice_s)
     assert terms.shape == (2 * n, x.size)
     want = _expm_column(twice_s, twice_mp, np.arccos(x))
     assert np.max(np.abs(su2._d_fourier(twice_s, twice_mp) @ terms - want)) < 1e-13
@@ -184,7 +239,7 @@ def test_half_angle_kernel_matches_d_column(twice_s, data, xs):
         k = low // 2 + 1
         table = su2._d_fourier(low, low % 2)
         got = table @ np.concatenate([terms[:k], terms[n:n + k]])
-        want = table @ su2._half_angle_trig(np.arccos(x), low)
+        want = table @ su2._half_angle_terms(np.exp(0.5j * np.arccos(x)), low)
         assert np.max(np.abs(got - want)) < 1e-13
 
 
