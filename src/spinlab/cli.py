@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -333,8 +334,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`, built once per process and shared by every :func:`main`
+    call: parsing leaves a parser as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.run(args)
 
 

@@ -121,9 +121,14 @@ def coherent_code(d: int) -> MultiRepState:
 
 def alpha_code(f: AlphaFamily) -> MultiRepState:
     """Coefficient form of the two-spin family."""
-    return MultiRepState(HalfInt(0), 2,
-                         np.array([math.cos(f.alpha),
-                                   math.sin(f.alpha) * np.exp(1j * f.beta)]))
+    return MultiRepState(HalfInt(0), 2, _alpha_coefficients([f.alpha], f.beta)[0])
+
+
+def _alpha_coefficients(alphas, beta: float) -> np.ndarray:
+    """Coefficients (cos(a), sin(a) e^{ib}) of the two-spin family for each alpha, shape
+    (K, 2); alphas are taken to lie in [0, pi/2]."""
+    phase = np.exp(1j * beta)
+    return np.array([(math.cos(a), math.sin(a) * phase) for a in alphas])
 
 
 def _tower_kernel(code: MultiRepState) -> tuple[np.ndarray, list[tuple[slice, slice]]]:
@@ -167,30 +172,70 @@ def _block_amplitudes(a: MultiRepState, thetas: np.ndarray, phis: np.ndarray) ->
     return out
 
 
+def _overlap_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """conj(b_S) a_S for coefficient arrays of one shape (..., B).
+
+    Written in real arithmetic, which rounds as numpy's product of two
+    complex scalars does; its array loop may fuse multiply-adds instead.
+    """
+    out = np.empty(a.shape, dtype=complex)
+    out.real = b.real * a.real + b.imag * a.imag
+    out.imag = b.real * a.imag - b.imag * a.real
+    return out
+
+
+def _axial_coefficients(sn: HalfInt, nspins: int, products: np.ndarray) -> np.ndarray:
+    """Cosine series, shape (K, N // 2 + 1), of the overlaps sum_S p_S d^S_{sn,sn}(theta)
+    with block products p_S = conj(b_S) a_S, shape (K, B), of the tower (sn, N).
+
+    Every block of a tower has the parity of 2S = N, so each block's cosine
+    series (:func:`spinlab.su2._d_diagonal_cosines`) reads the leading
+    harmonics of the top block's and the tower sums into one series.
+    """
+    coef = np.zeros((products.shape[0], nspins // 2 + 1), dtype=complex)
+    for i, twice in enumerate(range(nspins, sn.twice - 1, -2)):
+        c = _d_diagonal_cosines(twice, sn.twice)
+        coef[:, :c.size] += products[:, i, None] * c
+    return coef
+
+
+def _axial_series(coef: np.ndarray, nspins: int, thetas: np.ndarray) -> np.ndarray:
+    """Row k of the series coef (K, N // 2 + 1) of :func:`_axial_coefficients` at the
+    polar angles of row k of thetas (K, P), shape (K, P).
+
+    Angles go in chunks of at most _KERNEL_POINTS: whole rows, or parts of
+    one. Rows whose coefficients are all real are evaluated in real
+    arithmetic, reading the real parts in place (BLAS may round a packed
+    vector differently); the result is complex when any row is not real.
+    """
+    half_k = np.arange(coef.shape[1]) + (nspins % 2) / 2.0  # k_i / 2 of the series
+    real = ~coef.imag.any(axis=1)
+    out = np.empty(thetas.shape, dtype=float if real.all() else complex)
+    rows = max(1, _KERNEL_POINTS // thetas.shape[1])
+    cols = min(thetas.shape[1], _KERNEL_POINTS)
+    for group, is_real in ((real.nonzero()[0], True), ((~real).nonzero()[0], False)):
+        for lo in range(0, group.size, rows):
+            sel = group[lo:lo + rows]
+            c = coef[sel, None, :].real if is_real else coef[sel, None, :]
+            for left in range(0, thetas.shape[1], cols):
+                part = slice(left, left + cols)
+                table = half_k[:, None] * thetas[sel, None, part]
+                out[sel, part] = np.matmul(c, np.cos(table, out=table))[:, 0, :]
+    return out
+
+
 def _axial_overlap(a: MultiRepState, b: MultiRepState, thetas: np.ndarray) -> np.ndarray:
     """Overlap <B(z)|A(n)> at polar angles thetas and azimuth 0, shape (npoints,).
 
     Along z the decoder B has only the |S, sn> components b_S, so the
-    overlap is sum_S conj(b_S) a_S d^S_{sn,sn}(theta). Every block of a
-    tower has the parity of 2S = N, so each block's cosine series
-    (:func:`spinlab.su2._d_diagonal_cosines`) reads the leading harmonics
-    of the top block's: the tower sums into one series of N // 2 + 1
-    coefficients, evaluated once per angle. The result is real when the
-    summed coefficients are. At azimuth phi the overlap gains the common
-    phase e^{-i sn phi} only.
+    overlap is sum_S conj(b_S) a_S d^S_{sn,sn}(theta): one cosine series of
+    N // 2 + 1 coefficients (:func:`_axial_coefficients`), evaluated once per
+    angle (:func:`_axial_series`). The result is real when the summed
+    coefficients are. At azimuth phi the overlap gains the common phase
+    e^{-i sn phi} only.
     """
-    coef = np.zeros(a.nspins // 2 + 1, dtype=complex)
-    for a_s, b_s, s in zip(a.coeffs, b.coeffs, a.spins):
-        c = _d_diagonal_cosines(s.twice, a.sn.twice)
-        coef[:c.size] += (b_s.conjugate() * a_s) * c
-    if not coef.imag.any():
-        coef = coef.real
-    half_k = np.arange(coef.size) + (a.nspins % 2) / 2.0  # k_i / 2 of the series
-    out = np.empty(thetas.size, dtype=coef.dtype)
-    for lo in range(0, thetas.size, _KERNEL_POINTS):
-        part = slice(lo, lo + _KERNEL_POINTS)
-        out[part] = coef @ np.cos(np.multiply.outer(half_k, thetas[part]))
-    return out
+    coef = _axial_coefficients(a.sn, a.nspins, _overlap_products(a.coeffs[None], b.coeffs[None]))
+    return _axial_series(coef, a.nspins, thetas[None])[0]
 
 
 def code_state(a: MultiRepState, n: Direction) -> np.ndarray:
@@ -227,11 +272,15 @@ def matched_decoder(a: MultiRepState) -> MultiRepState:
     Phase matching is what makes the decoded fidelity independent of any
     relative phases in the code (a zero coefficient contributes no phase).
     """
-    b = decoder_coefficients(a.sn, a.nspins).astype(complex)
-    mags = np.abs(a.coeffs)
-    safe = np.where(mags > 1e-14, mags, 1.0)
-    phases = np.where(mags > 1e-14, a.coeffs / safe, 1.0)
-    return MultiRepState(a.sn, a.nspins, b * phases)
+    return MultiRepState(a.sn, a.nspins, _matched_coefficients(a.sn, a.nspins, a.coeffs))
+
+
+def _matched_coefficients(sn: HalfInt, nspins: int, coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of :func:`matched_decoder` for code coefficients (..., B) on the tower
+    (sn, N), elementwise."""
+    mags = np.abs(coeffs)
+    keep = mags > 1e-14
+    return decoder_coefficients(sn, nspins) * np.where(keep, coeffs / np.where(keep, mags, 1.0), 1.0)
 
 
 def _exact_size(nspins: int) -> int:

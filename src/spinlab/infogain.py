@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev
 
 from . import numerics
-from .codes import AlphaFamily, MultiRepState, _axial_overlap, alpha_code, matched_decoder
+from .codes import (AlphaFamily, MultiRepState, _alpha_coefficients, _axial_coefficients,
+                    _axial_series, _matched_coefficients, _overlap_products, alpha_code)
+from .su2 import HalfInt
 
 _LOG2E = 1.0 / math.log(2.0)
 # Gauss-Legendre nodes per piece, taken to t in [0, 1] and through s(t) = t^3 (10 - 15t + 6t^2):
@@ -44,23 +47,99 @@ def info_gain_quadrature(code: MultiRepState, decoder: MultiRepState | None = No
     Gauss-Legendre nodes per piece reach rounding level. Decoders that are
     not phase-matched take the same path. Raises unless q integrates to 1,
     i.e. unless the decoder resolves the identity.
+
+    This is the one-row call of the batched kernel :func:`_gains`.
     """
-    from scipy import special  # here, not at the top: importing spinlab loads no scipy
-    decoder = matched_decoder(code) if decoder is None else decoder
-    if decoder.sn != code.sn or decoder.nspins != code.nspins:
+    if decoder is None:
+        decoder_coeffs = _matched_coefficients(code.sn, code.nspins, code.coeffs)
+    elif decoder.sn != code.sn or decoder.nspins != code.nspins:
         raise ValueError("decoder must live on the code's irrep tower")
-    roots = chebyshev.chebroots(chebyshev.chebinterpolate(lambda x: sum(
-        np.conj(b) * a * special.eval_jacobi((s.twice - code.sn.twice) // 2, 0.0, code.sn.twice, x)
-        for a, b, s in zip(code.coeffs, decoder.coeffs, code.spins)), code.coeffs.size - 1)).real
-    cuts = np.unique(np.concatenate(([-1.0, 1.0], roots[np.abs(roots) < 1.0])))
-    x = (cuts[:-1, None] + np.outer(np.diff(cuts), _PIECE_NODES)).ravel()
-    w = np.outer(np.diff(cuts), _PIECE_WEIGHTS).ravel()
-    q = code.dim * np.abs(_axial_overlap(code, decoder, np.arccos(x))) ** 2
-    mass = float(np.sum(w * q))
-    if abs(mass - 1.0) > 1e-8:
-        raise RuntimeError(f"outcome density integrates to {mass!r}, not 1; "
-                           "the decoder does not resolve the identity")
-    return float(np.sum(w * special.xlogy(q, q))) * _LOG2E
+    else:
+        decoder_coeffs = decoder.coeffs
+    return float(_gains(code.sn, code.nspins, code.coeffs[None], decoder_coeffs[None])[0])
+
+
+# one entry per tower shape (B, 2 sn), at most 16: 16 B^2 bytes each, 4 MB for the
+# 501 blocks of N = 1000
+@lru_cache(maxsize=16)
+def _fit_tables(blocks: int, twice_sn: int) -> tuple[np.ndarray, np.ndarray]:
+    """The B x B tables that sample and fit r: P^(0,2sn)_{S-sn} at the B Chebyshev nodes
+    (row per block, S descending) and the transposed Chebyshev-Vandermonde matrix of
+    those nodes, as ``chebinterpolate`` builds it; frozen and shared."""
+    from scipy import special  # here, not at the top: importing spinlab loads no scipy
+    nodes = chebyshev.chebpts1(blocks)
+    jacobi = special.eval_jacobi(np.arange(blocks - 1, -1, -1)[:, None], 0.0, twice_sn, nodes)
+    vander = chebyshev.chebvander(nodes, blocks - 1).T
+    for table in (jacobi, vander):
+        table.setflags(write=False)
+    return jacobi, vander
+
+
+def _gains(sn: HalfInt, nspins: int, codes: np.ndarray, decoders: np.ndarray) -> np.ndarray:
+    """Gains of K codes (K, B) under K decoders (K, B), all on the tower (sn, N), by the
+    rule of :func:`info_gain_quadrature`, shape (K,).
+
+    One pass for all rows: r is sampled at the B Chebyshev nodes and fitted
+    as ``chebinterpolate`` does, from the tables of :func:`_fit_tables`; the
+    roots come in closed form when B = 2 and from ``chebroots`` row by row
+    otherwise. The cuts are padded with empty pieces at +1 to the most any
+    row has, so the rows share one node layout, and each row's sums run over
+    its own pieces only: a row's gain does not depend on the other rows.
+    Raises, naming the first such row, unless every row's q integrates to 1.
+    """
+    from scipy import special
+    rows, blocks = codes.shape
+    products = _overlap_products(codes, decoders)
+    cuts = np.ones((rows, blocks + 1))
+    cuts[:, 0] = -1.0
+    pieces = np.ones(rows, dtype=int)
+    if blocks > 1:
+        jacobi, vander = _fit_tables(blocks, sn.twice)
+        samples = np.zeros((rows, blocks), dtype=complex)
+        for i in range(blocks):
+            samples += products[:, i, None] * jacobi[i]
+        series = np.matmul(vander, samples[:, :, None])[:, :, 0]
+        series[:, 0] /= blocks
+        series[:, 1:] /= 0.5 * blocks
+        if blocks == 2:
+            # chebroots drops a zero leading coefficient, and with it the root
+            with np.errstate(divide="ignore", invalid="ignore"):
+                roots = (-series[:, 0] / series[:, 1]).real
+            inside = np.abs(roots) < 1.0
+            cuts[:, 1] = np.where(inside, roots, 1.0)
+            pieces += inside
+        else:
+            for k in range(rows):
+                roots = chebyshev.chebroots(series[k]).real
+                row = np.unique(np.concatenate(([-1.0, 1.0], roots[np.abs(roots) < 1.0])))
+                cuts[k, :row.size] = row
+                pieces[k] = row.size - 1
+        cuts = cuts[:, :pieces.max() + 1]
+    widths = cuts[:, 1:] - cuts[:, :-1]
+    x = (cuts[:, :-1, None] + widths[:, :, None] * _PIECE_NODES).reshape(rows, -1)
+    w = (widths[:, :, None] * _PIECE_WEIGHTS).reshape(rows, -1)
+    dim = sum(twice + 1 for twice in range(nspins, sn.twice - 1, -2))
+    overlap = _axial_series(_axial_coefficients(sn, nspins, products), nspins, np.arccos(x))
+    q = dim * np.abs(overlap) ** 2
+    mass, gain = _row_sums(w * np.stack((q, special.xlogy(q, q))), pieces)
+    resolved = np.abs(mass - 1.0) <= 1e-8
+    if not resolved.all():
+        k = int(np.argmin(resolved))
+        raise RuntimeError(f"row {k}: outcome density integrates to {float(mass[k])!r}, "
+                           "not 1; the decoder does not resolve the identity")
+    return gain * _LOG2E
+
+
+def _row_sums(values: np.ndarray, pieces: np.ndarray) -> np.ndarray:
+    """Sums over the last axis of values (..., K, L) of each row k's first pieces[k]
+    pieces, as a row of that length alone sums: numpy's pairwise sum would split
+    a zero-padded row elsewhere."""
+    out = values.sum(axis=-1)  # exact for the rows that fill the layout
+    short = pieces * _PIECE_ORDER < values.shape[-1]
+    for count in set(pieces[short].tolist()):
+        sel = pieces == count
+        out[..., sel] = values[..., sel, :count * _PIECE_ORDER].sum(axis=-1)
+    return out
 
 
 def _alpha_gain(alpha: float, beta: float) -> float:
@@ -68,9 +147,16 @@ def _alpha_gain(alpha: float, beta: float) -> float:
 
 
 def scan_alpha(beta: float = 0.0) -> tuple[np.ndarray, list[float]]:
-    """Information gain of the two-spin family at 64 alphas spanning [0, pi/2]."""
+    """Information gain of the two-spin family at 64 alphas spanning [0, pi/2].
+
+    One 64-row call of :func:`_gains`, with the phase-matched decoders of
+    :func:`spinlab.codes.matched_decoder`; each gain equals the single
+    call ``info_gain_quadrature(alpha_code(AlphaFamily(alpha, beta)))``.
+    """
     alphas = np.linspace(0.0, math.pi / 2.0, 64)
-    return alphas, [_alpha_gain(float(a), beta) for a in alphas]
+    sn = HalfInt(0)
+    codes = _alpha_coefficients(alphas, beta)
+    return alphas, _gains(sn, 2, codes, _matched_coefficients(sn, 2, codes)).tolist()
 
 
 def refine_alpha(alphas: np.ndarray, gains: list[float],

@@ -202,12 +202,12 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 
 
 def _running_sum(a: np.ndarray) -> np.ndarray:
-    """np.cumsum(a, axis=0), bit for bit, one row at a time: for a few long
-    rows this is about ten times faster than numpy's accumulate along axis 0."""
-    out = a.copy()
-    for i in range(1, out.shape[0]):
-        out[i] += out[i - 1]
-    return out
+    """np.cumsum(a, axis=0), bit for bit, in place and one row at a time: for a
+    few long rows this is about ten times faster than numpy's accumulate along
+    axis 0. Returns a."""
+    for i in range(1, a.shape[0]):
+        a[i] += a[i - 1]
+    return a
 
 
 def _first_reaching(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -233,14 +233,28 @@ def _generic_sampler(code: MultiRepState, p: FinitePovm):
     table, blocks = _tower_kernel(code)
     bras = p.states.conj() * np.repeat(code.coeffs, [s.twice + 1 for s in code.spins])
     weights = p.weights[:, None]
+    # one flat buffer per sub-block array, kept across sub-blocks and grown on demand:
+    # freed and allocated again, these arrays would fault their pages in every time
+    buffers = {}
+
+    def scratch(name: str, shape: tuple[int, int], dtype) -> np.ndarray:
+        size = shape[0] * shape[1]
+        if name not in buffers or buffers[name].size < size:
+            buffers[name] = np.empty(size, dtype=dtype)
+        return buffers[name][:size].reshape(shape)
 
     def draw(x: np.ndarray, turn: np.ndarray, u: np.ndarray) -> np.ndarray:
-        d = table @ _half_angle_terms(_half_turn(x), code.nspins)       # (D, shots)
+        shots = x.size
+        d = np.matmul(table, _half_angle_terms(_half_turn(x), code.nspins),
+                      out=scratch("d", (code.dim, shots), float))         # (D, shots)
         phases = _powers(1.0, turn, code.nspins + 1)
-        amp = np.empty(d.shape, dtype=complex)
+        amp = scratch("amp", (code.dim, shots), complex)
         for rows, slots in blocks:
             np.multiply(d[rows], phases[slots], out=amp[rows])
-        probs = weights * _abs2(bras @ amp)
+        overlaps = np.matmul(bras, amp, out=scratch("overlaps", (bras.shape[0], shots), complex))
+        probs = np.square(overlaps.real, out=scratch("probs", overlaps.shape, float))
+        probs += np.square(overlaps.imag, out=overlaps.imag)
+        probs *= weights
         _check_total(probs.sum(axis=0))
         return _first_reaching(_running_sum(probs), u)
 
@@ -285,7 +299,7 @@ def _ring_sampler(code: MultiRepState, p: RingPovm):
 
     def draw(x: np.ndarray, turn: np.ndarray, u: np.ndarray) -> np.ndarray:
         fitted = coef @ chebyshev.chebvander(x, code.nspins).T           # (T, shots)
-        cum = _running_sum(fitted)
+        cum = _running_sum(fitted.copy())
         _check_total(cum[-1])
         ring = _first_reaching(cum, u)
         # from here on the shots run ring by ring, so each ring's shots share
@@ -408,6 +422,9 @@ def simulate(code: MultiRepState, p: FinitePovm | RingPovm, shots: int,
         for lo in range(0, k, width):
             part = slice(lo, lo + width)
             idx[part] = draw(cos_th[part], turn[part], u[part])
+        # free what is dead before the score's temporaries, which would otherwise
+        # stack on the generic draw's buffers and raise the peak
+        del cos_th, u, turn
         st = np.sin(th)
         score = (1.0 + (st * cos_ph * gx[idx] + st * sin_ph * gy[idx]
                         + np.cos(th) * gz[idx])) / 2.0

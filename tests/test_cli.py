@@ -289,21 +289,39 @@ def test_infogain_alpha_scan(capsys):
 
 
 def test_infogain_alpha_scan_scans_once(monkeypatch, capsys):
-    # the table's 64 scanned gains are the ones the maximizer refines from
-    calls = []
-    quadrature = infogain.info_gain_quadrature
+    # the table's 64 scanned gains are one 64-row call of the gain kernel, and its
+    # golden-section rows are the same one-row calls that maximize_alpha makes
+    rows = []
+    kernel = infogain._gains
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return quadrature(*args, **kwargs)
+    def counted(sn, nspins, codes, decoders):
+        rows.append(codes.shape[0])
+        return kernel(sn, nspins, codes, decoders)
 
-    monkeypatch.setattr(infogain, "info_gain_quadrature", counted)
+    monkeypatch.setattr(infogain, "_gains", counted)
     infogain.maximize_alpha()
-    maximizer_calls = len(calls)
-    calls.clear()
+    maximizer_rows = list(rows)
+    rows.clear()
     code, _ = run_cli(["infogain", "--mode", "alpha-scan"], capsys)
     assert code == 0
-    assert len(calls) == maximizer_calls
+    assert rows == maximizer_rows
+    assert rows[0] == 64 and len(rows) > 1 and set(rows[1:]) == {1}
+
+
+def test_main_reuses_its_parser(capsys):
+    # the parser is built once per process: a usage error between two runs of
+    # the same command changes neither run's output, nor the error's
+    good = ["table", "--max-n", "3"]
+    first = run_cli(good, capsys)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["table", "--max-n", "0"])
+        errors.append((err.value.code, capsys.readouterr()))
+        assert run_cli(good, capsys) == first
+    assert errors[0] == errors[1] and errors[0][0] == 2
+    assert errors[0][1].err.startswith("usage: spinlab table ")
+    assert cli._parser() is cli._parser()
 
 
 def test_asymptotic_output(capsys):

@@ -138,13 +138,32 @@ def exact_grid(code):
     return rows.weights, rows.states, rows.guesses
 
 
+LONG_PI = np.arccos(np.longdouble(-1.0))
+
+
+def long_ring_rows(sn, nspins, size, weights, states, vecs):
+    """(weights, states, guesses) of RingPovm(sn, nspins, size, weights, states,
+    vecs).rows(), from the same float64 rings but in long double: the turns'
+    phases e^{-i m phi} and rotations round at long-double precision."""
+    phis = 2.0 * LONG_PI * np.arange(size) / size
+    phases = np.exp(-1j * np.multiply.outer(phis, _tower_projections(sn, nspins)))
+    turned = states.astype(np.clongdouble)[:, None, :] * phases
+    (x, y, z), c, s = vecs.T[:, :, None], np.cos(phis), np.sin(phis)
+    guesses = np.stack([x * c - y * s, x * s + y * c, z.repeat(size, 1)], axis=2)
+    return (np.repeat(weights, size).astype(np.longdouble), turned.reshape(-1, states.shape[1]),
+            guesses.reshape(-1, 3))
+
+
 def row_expansion_fidelity(code, weights, states, guesses):
     """sum_k w_k |<s_k|A(n)>|^2 (1 + n.g_k)/2 summed over every point n of the code's
-    exact grid: the (K, (N + 2)^2) form of the decoded fidelity, kept as its reference."""
-    w, points, dirs = exact_grid(code)
-    prob = np.abs(states.conj() @ points.T) ** 2
-    score = (1.0 + guesses @ dirs.T) / 2.0
-    return float(np.sum(weights[:, None] * prob * score * w[None, :]))
+    exact grid: the (K, (N + 2)^2) form of the decoded fidelity, kept as its reference.
+    Summed in long double from the float64 inputs, grid rings included, so that its
+    own rounding sits far below the float64 ulp of the program's value."""
+    w, points, dirs = long_ring_rows(code.sn, code.nspins, *_exact_rings(code))
+    overlaps = np.einsum("kd,nd->kn", np.asarray(states, np.clongdouble).conj(), points)
+    prob = overlaps.real ** 2 + overlaps.imag ** 2
+    score = (1.0 + np.einsum("ki,ni->kn", np.asarray(guesses, np.longdouble), dirs)) / 2.0
+    return float(np.sum(np.asarray(weights, np.longdouble)[:, None] * prob * score * w))
 
 
 def leggauss_grid(nspins):
@@ -273,8 +292,10 @@ def assert_within_ulps(got, want, ulps=4):
 
 def reference_fidelity(code, p):
     """row_expansion_fidelity of a POVM, with a RingPovm's outcomes written out."""
-    rows = p.rows() if isinstance(p, povm.RingPovm) else p
-    return row_expansion_fidelity(code, rows.weights, rows.states, rows.guesses)
+    if isinstance(p, povm.RingPovm):
+        return row_expansion_fidelity(code, *long_ring_rows(p.sn, p.nspins, p.ring_size,
+                                                            p.weights, p.states, p.guesses))
+    return row_expansion_fidelity(code, p.weights, p.states, p.guesses)
 
 
 @pytest.mark.parametrize("nspins", [*range(1, 21), 33])

@@ -10,7 +10,8 @@ from scipy.optimize import minimize_scalar
 from spinlab.codes import (AlphaFamily, MultiRepState, _axial_overlap, alpha_code,
                            coherent_code, matched_decoder)
 from spinlab.fidelity import max_fidelity_rotation
-from spinlab.infogain import info_gain_closed, info_gain_quadrature, maximize_alpha
+from spinlab.infogain import (_gains, info_gain_closed, info_gain_quadrature, maximize_alpha,
+                              scan_alpha)
 from spinlab.su2 import HalfInt
 
 LOG2E = 1.0 / math.log(2.0)
@@ -137,27 +138,80 @@ def test_optimal_codes_match_adaptive_quadrature(nspins):
     assert got == pytest.approx(adaptive_gain(code, matched_decoder(code)), abs=1e-12)
 
 
+def seeded_code(nspins, twice_sn, seed):
+    """Seeded complex coefficients over the tower (sn, N)."""
+    blocks = (nspins - twice_sn) // 2 + 1
+    coeffs = np.array([1.0, 1j]) @ np.random.default_rng(seed).normal(size=(2, blocks))
+    return MultiRepState(HalfInt(twice_sn), nspins, coeffs / np.linalg.norm(coeffs))
+
+
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("nspins, twice_sn", [(30, 20), (61, 41)])
 def test_large_sn_codes_match_adaptive_quadrature(nspins, twice_sn):
     # several blocks at large sn: sampling r as p / ((1+x)/2)^sn would divide p's rounding
     # errors by 2e-18 (N = 30) or 1e-47 (N = 61) at the node nearest -1 and misplace the cuts
-    blocks = (nspins - twice_sn) // 2 + 1
-    coeffs = np.array([1.0, 1j]) @ np.random.default_rng(nspins).normal(size=(2, blocks))
-    code = MultiRepState(HalfInt(twice_sn), nspins, coeffs / np.linalg.norm(coeffs))
+    code = seeded_code(nspins, twice_sn, nspins)
     got = info_gain_quadrature(code)
     assert got == pytest.approx(adaptive_gain(code, matched_decoder(code)), abs=1e-12)
+
+
+def mismatched_decoder(code, seed):
+    """The matched decoder of code with a seeded phase on each block."""
+    phases = np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, code.coeffs.size))
+    return MultiRepState(code.sn, code.nspins, matched_decoder(code).coeffs * phases)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_phase_mismatched_decoder_matches_adaptive_quadrature():
     # the overlap is complex and its roots leave the real axis; the same rule applies
     _, code = max_fidelity_rotation(5)
-    matched = matched_decoder(code)
-    phases = np.exp(1j * np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, code.coeffs.size))
-    decoder = MultiRepState(code.sn, code.nspins, matched.coeffs * phases)
+    decoder = mismatched_decoder(code, 5)
     got = info_gain_quadrature(code, decoder=decoder)
     assert got == pytest.approx(adaptive_gain(code, decoder), abs=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.0, float(np.random.default_rng(18).uniform(0.0, 2.0 * math.pi))])
+def test_scan_alpha_rows_equal_single_calls(beta):
+    alphas, gains = scan_alpha(beta)
+    assert len(gains) == alphas.size == 64
+    for alpha, gain in zip(alphas, gains):
+        single = info_gain_quadrature(alpha_code(AlphaFamily(float(alpha), beta)))
+        assert gain == single, (alpha, gain.hex(), single.hex())
+
+
+def kernel_rows(pairs):
+    """_gains of (code, decoder) pairs on one tower, as one K-row call."""
+    code = pairs[0][0]
+    return _gains(code.sn, code.nspins, np.stack([c.coeffs for c, _ in pairs]),
+                  np.stack([d.coeffs for _, d in pairs]))
+
+
+@pytest.mark.parametrize("pairs", [
+    # real and complex rows together on the optimal N = 8 code's tower; the last has
+    # fewer pieces than the first, and summed zero-padded its gain would move by an ulp
+    lambda: [(c, matched_decoder(c)) for c in (max_fidelity_rotation(8)[1], seeded_code(8, 0, 1),
+                                                seeded_code(8, 0, 11))],
+    lambda: [(c, matched_decoder(c)) for c in (seeded_code(30, 20, 30), seeded_code(30, 20, 3))],
+    lambda: [(c, matched_decoder(c)) for c in (seeded_code(61, 41, 61), seeded_code(61, 41, 4))],
+    lambda: [(max_fidelity_rotation(5)[1], mismatched_decoder(max_fidelity_rotation(5)[1], 5)),
+             (max_fidelity_rotation(5)[1], matched_decoder(max_fidelity_rotation(5)[1])),
+             (seeded_code(5, 1, 6), mismatched_decoder(seeded_code(5, 1, 6), 7))],
+], ids=["optimal-n8", "tower-30-20", "tower-61-41", "mismatched-n5"])
+def test_kernel_rows_equal_single_calls(pairs):
+    # a row's gain does not depend on the other rows, whatever its pieces or its realness
+    pairs = pairs()
+    rows = kernel_rows(pairs)
+    singles = [info_gain_quadrature(code, decoder=decoder) for code, decoder in pairs]
+    assert rows.tolist() == singles
+    assert rows.tolist()[::-1] == kernel_rows(pairs[::-1]).tolist()
+
+
+def test_kernel_names_the_row_that_fails_the_mass_check():
+    code = alpha_code(AlphaFamily(math.pi / 4.0))
+    lopsided = MultiRepState(HalfInt(0), 2, np.array([1.0 + 0.0j, 0.0]))
+    pairs = [(code, matched_decoder(code)), (code, lopsided), (code, matched_decoder(code))]
+    with pytest.raises(RuntimeError, match="^row 1: outcome density integrates to"):
+        kernel_rows(pairs)
 
 
 def test_alpha_quarter_pi_value():
