@@ -13,7 +13,8 @@ from .codes import (AlphaFamily, DensityMatrix, MultiRepState, alpha_code,
                     minimal_sn, source_density, von_neumann_entropy)
 from .fidelity import (asymptotic_table, build_m, fidelity_optimal,
                        fidelity_parallel, fidelity_quadrature,
-                       max_fidelity_polynomial, max_fidelity_rotation)
+                       max_fidelity_polynomial, max_fidelity_polynomials,
+                       max_fidelity_rotation)
 from .infogain import info_gain_closed, info_gain_quadrature, maximize_alpha
 from .numerics import (bessel_j0_first_zero, gauss_legendre, largest_zero,
                        tridiag_max_eigenpair)
@@ -35,7 +36,8 @@ __all__ = [
     "fidelity_optimal", "fidelity_parallel", "fidelity_quadrature",
     "gauss_legendre", "info_gain_closed",
     "info_gain_quadrature", "largest_zero", "matched_decoder",
-    "max_fidelity_polynomial", "max_fidelity_rotation", "maximize_alpha",
+    "max_fidelity_polynomial", "max_fidelity_polynomials", "max_fidelity_rotation",
+    "maximize_alpha",
     "minimal_sn", "octahedron_povm", "overlap_sq_32", "peres_generators",
     "povm_fidelity_exact", "projections", "quadrature_povm", "rotate_to",
     "simulate", "source_density", "spin_operators",

@@ -74,12 +74,8 @@ def cmd_table(max_n: int, fmt: str, out: str | None) -> int:
     verify command pins it against the eigenvalue route.
     """
     headers = ["n", "f_rotation", "f_parallel", "f_optimal"]
-    rows = []
-    for n in range(1, max_n + 1):
-        rows.append((n,
-                     fidelity.max_fidelity_polynomial(n),
-                     fidelity.fidelity_parallel(n),
-                     fidelity.fidelity_optimal(2 ** n)))
+    rows = [(n, f, fidelity.fidelity_parallel(n), fidelity.fidelity_optimal(2 ** n))
+            for n, f in enumerate(fidelity.max_fidelity_polynomials(max_n).tolist(), start=1)]
     _emit(headers, rows, fmt, out)
     return 0
 
@@ -203,8 +199,8 @@ def _claims(level: str):
         yield f"spin_algebra_2s{twice}", _algebra_residual(*spin_operators(HalfInt(twice))), 1e-13
 
     grid = np.linspace(-1.0, 1.0, 1001)
-    top = np.array([overlap_sq_32(c, HalfInt(3)) for c in grid])
-    mid = np.array([overlap_sq_32(c, HalfInt(1)) for c in grid])
+    top = overlap_sq_32(grid, HalfInt(3))
+    mid = overlap_sq_32(grid, HalfInt(1))
     angles = np.arccos(grid)
     top_wigner = wigner_small_d(HalfInt(3), HalfInt(3), HalfInt(3), angles) ** 2
     mid_wigner = wigner_small_d(HalfInt(3), HalfInt(1), HalfInt(1), angles) ** 2

@@ -63,7 +63,13 @@ class MultiRepState:
 
     @property
     def dim(self) -> int:
-        return sum(s.twice + 1 for s in self.spins)
+        return _tower_dim(self.sn, self.nspins)
+
+
+def _tower_dim(sn: HalfInt, nspins: int) -> int:
+    """Dimension of the tower S = N/2, N/2 - 1, ..., sn: the sum of 2S + 1 over its
+    blocks, ((N + 2)^2 - (2 sn)^2) / 4."""
+    return ((nspins + 2) ** 2 - sn.twice ** 2) // 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,14 +367,21 @@ def _projection_blocks(sn: HalfInt, nspins: int, count: int, weights: np.ndarray
     (T, D) at azimuth 0, turned to azimuth phi by e^{-i m phi} per projection m.
 
     Parseval over each ring's azimuths makes the sum block-diagonal in the
-    projection m. Yields, one pair per m, the indices of the components of
-    projection m and the block count sum_j w_j R_j[S, m] conj(R_j[S', m]).
+    projection m. Yields, one pair per block size k (the g projections that
+    have k components, as +-m do), the indices (g, k) of the components of
+    each projection and the blocks (g, k, k), sum_j w_j R_j[S, m] conj(R_j[S', m]).
+    Real ring states give real blocks.
     """
+    if not states.imag.any():
+        states = states.real
     m = _tower_projections(sn, nspins)
-    for value in np.unique(m):
-        idx = np.flatnonzero(m == value)
-        ring = states[:, idx]
-        yield idx, (ring.T * (count * weights)) @ ring.conj()
+    order = np.argsort(m, kind="stable")  # one ascending run of components per projection
+    sizes = np.unique(m, return_counts=True)[1]
+    starts = np.cumsum(sizes) - sizes
+    for k in np.unique(sizes):
+        idx = order[starts[sizes == k, None] + np.arange(k)]
+        ring = states[:, idx].transpose(1, 2, 0)  # (g, k, T)
+        yield idx, (ring * (count * weights)) @ ring.conj().transpose(0, 2, 1)
 
 
 def source_density(a: MultiRepState) -> DensityMatrix:
@@ -376,8 +389,9 @@ def source_density(a: MultiRepState) -> DensityMatrix:
     exactly on the rings of :func:`_exact_rings`, one projection block at a time."""
     size, w, states, _ = _exact_rings(a)
     rho = np.zeros((a.dim, a.dim), dtype=complex)
-    for idx, block in _projection_blocks(a.sn, a.nspins, size, w, states):
-        rho[np.ix_(idx, idx)] = block
+    for stack, blocks in _projection_blocks(a.sn, a.nspins, size, w, states):
+        for idx, block in zip(stack, blocks):
+            rho[np.ix_(idx, idx)] = block
     return DensityMatrix(rho)
 
 

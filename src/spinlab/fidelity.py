@@ -70,6 +70,17 @@ def max_fidelity_polynomial(nspins: int) -> float:
     return (1.0 + x) / 2.0
 
 
+def max_fidelity_polynomials(max_n: int) -> np.ndarray:
+    """:func:`max_fidelity_polynomial` of N = 1, ..., max_n, equal to it bit for bit,
+    from one Newton pass over every degree (:func:`spinlab.numerics._largest_zeros`)."""
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
+    ns = range(1, max_n + 1)
+    x = numerics._largest_zeros(["jacobi01" if n % 2 else "legendre" for n in ns],
+                                [(n + 1) // 2 if n % 2 else n // 2 + 1 for n in ns])
+    return (1.0 + x) / 2.0
+
+
 def fidelity_optimal(d: int) -> float:
     """Best possible mean fidelity of any d-dimensional encoding: d/(d+1)."""
     if d < 2:
@@ -127,15 +138,12 @@ def fidelity_quadrature(code: MultiRepState, decoder: MultiRepState | None = Non
 
 
 def asymptotic_table(max_n: int) -> list[tuple[int, float, float]]:
-    """Rows (N, F, N^2 (1-F)) for the optimal restricted encodings.
+    """Rows (N, F, N^2 (1-F)) for the optimal restricted encodings, N = 1, ..., max_n.
 
-    The scaled deficit in the last column climbs toward the square of the
-    first J0 zero; useful for checking the large-N falloff.
+    F comes from the polynomial route for the whole range at once
+    (:func:`max_fidelity_polynomials`). The scaled deficit in the last column
+    climbs toward the square of the first J0 zero; useful for checking the
+    large-N falloff.
     """
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    rows = []
-    for n in range(1, max_n + 1):
-        f = max_fidelity_polynomial(n)
-        rows.append((n, f, n * n * (1.0 - f)))
-    return rows
+    return [(n, f, n * n * (1.0 - f))
+            for n, f in enumerate(max_fidelity_polynomials(max_n).tolist(), start=1)]

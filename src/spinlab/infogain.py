@@ -10,7 +10,8 @@ from numpy.polynomial import chebyshev
 
 from . import numerics
 from .codes import (AlphaFamily, MultiRepState, _alpha_coefficients, _axial_coefficients,
-                    _axial_series, _matched_coefficients, _overlap_products, alpha_code)
+                    _axial_series, _matched_coefficients, _overlap_products, _tower_dim,
+                    alpha_code)
 from .su2 import HalfInt
 
 _LOG2E = 1.0 / math.log(2.0)
@@ -118,9 +119,8 @@ def _gains(sn: HalfInt, nspins: int, codes: np.ndarray, decoders: np.ndarray) ->
     widths = cuts[:, 1:] - cuts[:, :-1]
     x = (cuts[:, :-1, None] + widths[:, :, None] * _PIECE_NODES).reshape(rows, -1)
     w = (widths[:, :, None] * _PIECE_WEIGHTS).reshape(rows, -1)
-    dim = sum(twice + 1 for twice in range(nspins, sn.twice - 1, -2))
     overlap = _axial_series(_axial_coefficients(sn, nspins, products), nspins, np.arccos(x))
-    q = dim * np.abs(overlap) ** 2
+    q = _tower_dim(sn, nspins) * np.abs(overlap) ** 2
     mass, gain = _row_sums(w * np.stack((q, special.xlogy(q, q))), pieces)
     resolved = np.abs(mass - 1.0) <= 1e-8
     if not resolved.all():

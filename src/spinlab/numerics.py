@@ -123,9 +123,10 @@ def _three_terms(kind: str, l: int) -> list[tuple[float, float, float]]:
             for k in range(1, l + 1) for den in [(k + 1) * (2 * k - 1)]]
 
 
-def _eval_with_derivative(terms: list[tuple[float, float, float]], x):
-    """Value and first derivative, elementwise in x, of the polynomial that the
-    recurrence coefficients of :func:`_three_terms` build up to their last degree."""
+def _eval_with_derivative(terms, x):
+    """Value and first derivative, elementwise in x and in the coefficients, of the
+    polynomial that the recurrence coefficients of :func:`_three_terms` build up to
+    their last degree: terms yields one (a, b, c) per step, each a float or an array."""
     zero = x * 0.0
     p_prev, p = zero, zero + 1.0
     d_prev, d = zero, zero
@@ -167,6 +168,66 @@ def largest_zero(kind: str, l: int) -> float:
         x_older = x
         x = x_new
     raise RuntimeError(f"largest_zero({kind!r}, {l}) did not converge")
+
+
+def _largest_zeros(kinds, degrees) -> np.ndarray:
+    """:func:`largest_zero` of every pair (kinds[i], degrees[i]) at once, equal to it
+    bit for bit.
+
+    One Newton iteration runs for the whole table. Each family's recurrence
+    coefficients come from one :func:`_three_terms` list up to its highest
+    degree; past an element's own degree its steps are (a, b, c) = (0, 1, 0),
+    which leave p and p' exactly as they are. Each element stops by the rules
+    of :func:`largest_zero`, and only the elements still iterating are
+    evaluated.
+    """
+    kinds, degrees = list(kinds), np.asarray(degrees, dtype=int)
+    if degrees.shape != (len(kinds),):
+        raise ValueError("need one degree per polynomial family")
+    for kind, l in zip(kinds, degrees.tolist()):
+        if kind not in ("legendre", "jacobi01"):
+            raise ValueError(f"unknown polynomial family: {kind!r}")
+        if l < 1:
+            raise ValueError("degree must be >= 1")
+    if not kinds:
+        return np.empty(0)
+    families = sorted(set(kinds))
+    top = int(degrees.max())
+    # a, b, c by step and family, then by step and live element (contiguous rows)
+    table = np.array([_three_terms(kind, top) for kind in families]).transpose(2, 1, 0).copy()
+    coef = table.take([families.index(kind) for kind in kinds], axis=2)
+    np.copyto(coef, np.array([0.0, 1.0, 0.0])[:, None, None],
+              where=np.arange(1, top + 1)[:, None] > degrees)  # past each degree
+    zeros = np.empty(degrees.size)
+    live = np.arange(degrees.size)  # the elements still iterating
+    x = np.ones(degrees.size)
+    x_older = np.full(degrees.size, math.inf)
+    for _ in range(200):
+        if not live.size:
+            break
+        p, dp = _eval_with_derivative(zip(*coef), x)
+        bad = (p != 0.0) & (dp <= 0.0)
+        if bad.any():
+            i = live[bad.argmax()]
+            raise RuntimeError(f"largest_zero({kinds[i]!r}, {degrees[i]}): "
+                               "derivative lost positivity")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_new = x - p / dp
+        done = np.zeros(live.size, dtype=bool)
+        for rule, value in ((p == 0.0, x), (np.abs(x_new - x) <= 5e-16, x_new),
+                            (x_new == x_older, 0.5 * (x + x_new))):
+            rule &= ~done  # the first rule that holds decides, as in largest_zero
+            zeros[live[rule]] = value[rule]
+            done |= rule
+        if done.any():  # keep the live columns contiguous: strided rows cost 4x
+            live, x_older, x = live[~done], x[~done], x_new[~done]
+            coef = coef[:, :degrees[live].max(initial=0)].compress(~done, axis=2)
+        else:
+            x_older, x = x, x_new
+    if live.size:
+        i = live[0]
+        raise RuntimeError(f"largest_zero({kinds[i]!r}, {degrees[i]}) did not converge")
+    return zeros
 
 
 _PIVMIN = 1e-292
@@ -345,17 +406,21 @@ def tridiag_max_eigenpair(m: Tridiag) -> tuple[float, np.ndarray]:
 
 
 def hermitian_eigenvalues(h) -> np.ndarray:
-    """Eigenvalues (ascending) of a Hermitian matrix, without its eigenvectors.
+    """Eigenvalues (ascending) of a Hermitian matrix, or of each matrix of a stack
+    (..., k, k), without the eigenvectors.
 
-    Raises ValueError unless h is square and Hermitian to 1e-10 (a NaN entry
-    fails the check).
+    Raises ValueError unless every matrix is square and Hermitian to 1e-10 (a NaN
+    entry fails the check).
     """
     h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError("matrix must be square")
-    dev = float(np.max(np.abs(h - h.conj().T)))
-    if not dev <= 1e-10:
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
+    dev = np.max(np.abs(h - np.swapaxes(h.conj(), -1, -2)), axis=(-2, -1), initial=0.0)
+    bad = ~(dev <= 1e-10)
+    if bad.any():
+        at = f" {np.argwhere(bad)[0].tolist()} of the stack" if h.ndim > 2 else ""
+        raise ValueError(f"matrix{at} is not Hermitian "
+                         f"(max deviation {float(dev[bad].flat[0]):.3e})")
     return np.linalg.eigvalsh(h)
 
 

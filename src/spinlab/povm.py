@@ -16,7 +16,8 @@ from numpy.polynomial import chebyshev
 
 from . import numerics
 from .codes import (MultiRepState, _decoded_fidelity, _exact_rings, _projection_blocks,
-                    _tower_kernel, _tower_phases, _turned_about_z, decoder_coefficients)
+                    _tower_dim, _tower_kernel, _tower_phases, _turned_about_z,
+                    decoder_coefficients)
 from .su2 import Direction, HalfInt, X_AXIS, Y_AXIS, Z_AXIS, _half_angle_terms, _powers, rotate_to
 
 # chunk size for vectorized sampling; fixed so a seed gives one stream
@@ -97,8 +98,8 @@ class RingPovm:
         _store_outcomes(self, self.dim)
 
     @property
-    def dim(self) -> int:  # the sum of 2S + 1 over the tower
-        return ((self.nspins + 2) ** 2 - self.sn.twice ** 2) // 4
+    def dim(self) -> int:
+        return _tower_dim(self.sn, self.nspins)
 
     def rows(self) -> FinitePovm:
         """The same measurement with each of its T P outcomes as one row: outcome j P + l
@@ -152,16 +153,17 @@ def check_identity(p: FinitePovm | RingPovm) -> float:
     For a :class:`FinitePovm` the sum is one weighted Gram matrix of the
     state rows. For a :class:`RingPovm`, Parseval over each ring's P >= N + 1
     azimuths makes it block-diagonal in the projection m, so no D x D matrix
-    is formed: one block P sum_j w_j R_j[S, m] conj(R_j[S', m]) per m.
+    is formed: one block P sum_j w_j R_j[S, m] conj(R_j[S', m]) per m, solved
+    as one stack per block size.
     """
     if isinstance(p, FinitePovm):
-        grams = [(p.states.T * p.weights) @ p.states.conj()]
+        stacks = [(p.states.T * p.weights) @ p.states.conj()]
     else:
-        grams = [block for _, block in _projection_blocks(
+        stacks = [blocks for _, blocks in _projection_blocks(
             p.sn, p.nspins, p.ring_size, p.weights, p.states)]
     worst = 0.0
-    for gram in grams:
-        vals = numerics.hermitian_eigenvalues(gram - np.eye(gram.shape[0]))
+    for grams in stacks:
+        vals = numerics.hermitian_eigenvalues(grams - np.eye(grams.shape[-1]))
         worst = max(worst, float(np.max(np.abs(vals))))
     return worst
 

@@ -378,20 +378,26 @@ def entanglement_entropy(state) -> float:
     return numerics.spectral_entropy(numerics.hermitian_eigenvalues(mat @ mat.conj().T))
 
 
-def overlap_sq_32(cos_angle: float, m) -> float:
+def overlap_sq_32(cos_angle, m):
     """Squared overlap of two spin-3/2 projection-m states along axes with
-    the given cosine between them.
+    the given cosine between them, elementwise over an array of cosines (a
+    float for a float).
 
     m = 3/2 gives ((1+c)/2)^3, strictly increasing in c. m = 1/2 gives
     (1+c)(1-3c)^2/8, which vanishes at c = 1/3 and is not monotone; that
     failure is what disqualifies the m = 1/2 tower as a guessing code.
     """
-    c = float(cos_angle)
-    if not -1.0 <= c <= 1.0:
+    c = np.asarray(cos_angle, dtype=float)
+    if not np.all(np.abs(c) <= 1.0):
         raise ValueError("cosine must lie in [-1, 1]")
     m = HalfInt.of(m)
+    # products, not powers: numpy's vector pow may round differently from its scalar one
     if m.twice == 3:
-        return ((1.0 + c) / 2.0) ** 3
-    if m.twice == 1:
-        return (1.0 + c) * (1.0 - 3.0 * c) ** 2 / 8.0
-    raise ValueError("m must be 3/2 or 1/2")
+        half = (1.0 + c) / 2.0
+        value = half * half * half
+    elif m.twice == 1:
+        third = 1.0 - 3.0 * c
+        value = (1.0 + c) * (third * third) / 8.0
+    else:
+        raise ValueError("m must be 3/2 or 1/2")
+    return float(value) if c.ndim == 0 else value

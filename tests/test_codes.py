@@ -34,6 +34,18 @@ def test_multirep_state_tower_layout():
     assert a.dim == 5 + 3 + 1
 
 
+def test_tower_dimension_is_the_sum_over_blocks():
+    # one formula for every tower (sn, N), N <= 40, read by codes, POVMs and the gain
+    for nspins in range(1, 41):
+        for twice in range(nspins % 2, nspins + 1, 2):
+            blocks = (nspins - twice) // 2 + 1
+            code = MultiRepState(HalfInt(twice), nspins, np.ones(blocks) / math.sqrt(blocks))
+            assert code.dim == sum(s.twice + 1 for s in code.spins)
+            assert code.dim == _tower_projections(code.sn, nspins).size
+    grid = povm.quadrature_povm(HalfInt(1), 7)
+    assert grid.dim == 8 + 6 + 4 + 2 == grid.states.shape[1]
+
+
 def test_minimal_sn_parity():
     assert minimal_sn(4) == HalfInt(0)
     assert minimal_sn(5) == HalfInt(1)

@@ -11,7 +11,8 @@ from spinlab import fidelity
 from spinlab.codes import AlphaFamily, MultiRepState, alpha_code, coherent_code, minimal_sn
 from spinlab.fidelity import (asymptotic_table, build_m, fidelity_optimal,
                               fidelity_parallel, fidelity_quadrature,
-                              max_fidelity_polynomial, max_fidelity_rotation)
+                              max_fidelity_polynomial, max_fidelity_polynomials,
+                              max_fidelity_rotation)
 from spinlab.numerics import bessel_j0_first_zero
 from spinlab.su2 import Direction, HalfInt, X_AXIS
 
@@ -198,6 +199,17 @@ def test_fidelity_quadrature_covariant_in_decoder_direction(name, monkeypatch):
 
     monkeypatch.setattr(fidelity, "_decoded_fidelity", no_grid)
     assert fidelity_quadrature(code, decoder_direction=Direction(0.0, 1.3)) == fz
+
+
+def test_batched_table_equals_single_calls():
+    # the polynomial route for the whole table at once, bit for bit, and the two
+    # tables that read it
+    got = max_fidelity_polynomials(1000)
+    want = [max_fidelity_polynomial(n) for n in range(1, 1001)]
+    assert [f.hex() for f in got.tolist()] == [f.hex() for f in want]
+    assert [row[1] for row in asymptotic_table(1000)] == want
+    with pytest.raises(ValueError):
+        max_fidelity_polynomials(0)
 
 
 def test_asymptotic_table_strictly_increasing():

@@ -140,6 +140,25 @@ def test_largest_zero_equals_max_gauss_node():
             gauss_legendre(l).nodes[-1], abs=5e-15)
 
 
+def test_batched_zeros_equal_scalar_zeros():
+    # both families mixed, unsorted, repeated: each entry is its scalar call bit for bit
+    kinds = ["jacobi01", "legendre", "legendre", "jacobi01", "legendre", "jacobi01"] * 12
+    degrees = [37, 1, 250, 1, 2, 137] * 12
+    got = numerics._largest_zeros(kinds, degrees)
+    assert [z.hex() for z in got.tolist()] == [
+        largest_zero(kind, l).hex() for kind, l in zip(kinds, degrees)]
+    assert numerics._largest_zeros([], []).shape == (0,)
+
+
+def test_batched_zeros_validation():
+    with pytest.raises(ValueError):
+        numerics._largest_zeros(["legendre", "chebyshev"], [3, 3])
+    with pytest.raises(ValueError):
+        numerics._largest_zeros(["legendre", "jacobi01"], [3, 0])
+    with pytest.raises(ValueError):
+        numerics._largest_zeros(["legendre"], [3, 4])
+
+
 def test_largest_zero_validation():
     with pytest.raises(ValueError):
         largest_zero("chebyshev", 3)
@@ -355,3 +374,26 @@ def test_hermitian_eigenvalues_validation():
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="Hermitian"):
         hermitian_eigenvalues(np.array([[math.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_hermitian_eigenvalues_of_a_stack():
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(4, 5, 5)) + 1j * rng.normal(size=(4, 5, 5))
+    h = (a + a.conj().transpose(0, 2, 1)) / 2.0
+    got = hermitian_eigenvalues(h)
+    assert got.shape == (4, 5)
+    for vals, one in zip(got, h):
+        assert np.max(np.abs(vals - hermitian_eigenvalues(one))) <= 1e-14
+
+
+@pytest.mark.parametrize("block", [0, 2, 3])
+def test_hermitian_eigenvalues_stack_rejects_any_bad_block(block):
+    h = np.stack([np.eye(3)] * 4)
+    h[block, 0, 2] = 1e-6
+    with pytest.raises(ValueError, match=f"matrix \\[{block}\\] of the stack is not Hermitian"):
+        hermitian_eigenvalues(h)
+    h[block, 0, 2] = math.nan
+    with pytest.raises(ValueError, match="Hermitian"):
+        hermitian_eigenvalues(h)
+    with pytest.raises(ValueError, match="square"):
+        hermitian_eigenvalues(np.zeros((4, 2, 3)))

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinlab import povm
+from spinlab import povm, su2
 from spinlab.codes import (AlphaFamily, MultiRepState, _block_amplitudes, alpha_code,
                            coherent_code, decoder_coefficients, minimal_sn)
 from spinlab.fidelity import fidelity_quadrature, max_fidelity_rotation
@@ -120,6 +120,34 @@ def test_ring_identity_check_matches_dense_gram(nspins):
     ring, dense = check_identity(p), check_identity(p.rows())
     assert ring > 0.01
     assert ring == pytest.approx(dense, abs=1e-12)
+
+
+def per_projection_identity(p: RingPovm) -> float:
+    """check_identity of a ring POVM one projection m at a time, in complex arithmetic."""
+    m = np.array([q.twice for t in range(p.nspins, p.sn.twice - 1, -2)
+                  for q in su2.projections(HalfInt(t))])
+    worst = 0.0
+    for value in np.unique(m):
+        ring = p.states[:, m == value]
+        gram = (ring.T * (p.ring_size * p.weights)) @ ring.conj()
+        worst = max(worst, float(np.max(np.abs(np.linalg.eigvalsh(gram - np.eye(len(gram)))))))
+    return worst
+
+
+@pytest.mark.parametrize("nspins", range(1, 21))
+def test_stacked_identity_check_matches_per_projection(nspins):
+    grid = quadrature_povm(minimal_sn(nspins), nspins)
+    assert not grid.states.imag.any()  # ring states at azimuth 0 are real
+    assert abs(check_identity(grid) - per_projection_identity(grid)) <= 1e-15
+    # complex ring states, and one ring off its weight so the deviation is not rounding
+    rng = np.random.default_rng(nspins)
+    weights = grid.weights.copy()
+    weights[0] *= 1.25
+    p = RingPovm(grid.sn, nspins, grid.ring_size, weights,
+                 grid.states * np.exp(2j * math.pi * rng.random(grid.dim)), grid.guesses)
+    want = per_projection_identity(p)
+    assert want > 1e-3
+    assert abs(check_identity(p) - want) <= 1e-15
 
 
 def test_octahedron_structure():

@@ -468,3 +468,23 @@ def test_overlap_validation():
         overlap_sq_32(1.2, HalfInt(3))
     with pytest.raises(ValueError):
         overlap_sq_32(0.0, HalfInt(5))
+
+
+@pytest.mark.parametrize("twice", [3, 1])
+def test_overlap_array_equals_scalar_calls(twice):
+    grid = np.linspace(-1.0, 1.0, 100001)
+    got = overlap_sq_32(grid, HalfInt(twice))
+    assert got.shape == grid.shape
+    assert np.array_equal(got, [overlap_sq_32(c, HalfInt(twice)) for c in grid.tolist()])
+    assert type(overlap_sq_32(0.25, HalfInt(twice))) is float
+    assert type(overlap_sq_32(np.float64(0.25), HalfInt(twice))) is float
+    two_d = overlap_sq_32(grid[:10].reshape(2, 5), HalfInt(twice))
+    assert np.array_equal(two_d, got[:10].reshape(2, 5))
+
+
+@pytest.mark.parametrize("bad", [1.0 + 1e-15, -1.5, math.nan])
+def test_overlap_array_rejects_any_entry_out_of_range(bad):
+    cosines = np.linspace(-1.0, 1.0, 9)
+    cosines[6] = bad
+    with pytest.raises(ValueError, match="cosine"):
+        overlap_sq_32(cosines, HalfInt(3))
