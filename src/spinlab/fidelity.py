@@ -70,14 +70,19 @@ def max_fidelity_polynomial(nspins: int) -> float:
     return (1.0 + x) / 2.0
 
 
+_PASS_COEFFICIENTS = 2 ** 20  # per Newton pass of max_fidelity_polynomials: 24 MB at most
+
+
 def max_fidelity_polynomials(max_n: int) -> np.ndarray:
-    """:func:`max_fidelity_polynomial` of N = 1, ..., max_n, equal to it bit for bit,
-    from one Newton pass over every degree (:func:`spinlab.numerics._largest_zeros`)."""
+    """:func:`max_fidelity_polynomial` of N = 1, ..., max_n, bit for bit, from batched Newton
+    passes (:func:`spinlab.numerics._largest_zeros`), one up to max_n = 1000."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    ns = range(1, max_n + 1)
-    x = numerics._largest_zeros(["jacobi01" if n % 2 else "legendre" for n in ns],
-                                [(n + 1) // 2 if n % 2 else n // 2 + 1 for n in ns])
+    kinds = ["jacobi01" if n % 2 else "legendre" for n in range(1, max_n + 1)]
+    degrees = [(n + 1) // 2 if n % 2 else n // 2 + 1 for n in range(1, max_n + 1)]
+    step = max(1, _PASS_COEFFICIENTS // max(degrees))
+    x = np.concatenate([numerics._largest_zeros(kinds[i:i + step], degrees[i:i + step])
+                        for i in range(0, max_n, step)])
     return (1.0 + x) / 2.0
 
 

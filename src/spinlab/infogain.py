@@ -66,10 +66,16 @@ def info_gain_quadrature(code: MultiRepState, decoder: MultiRepState | None = No
 def _fit_tables(blocks: int, twice_sn: int) -> tuple[np.ndarray, np.ndarray]:
     """The B x B tables that sample and fit r: P^(0,2sn)_{S-sn} at the B Chebyshev nodes
     (row per block, S descending) and the transposed Chebyshev-Vandermonde matrix of
-    those nodes, as ``chebinterpolate`` builds it; frozen and shared."""
-    from scipy import special  # here, not at the top: importing spinlab loads no scipy
-    nodes = chebyshev.chebpts1(blocks)
-    jacobi = special.eval_jacobi(np.arange(blocks - 1, -1, -1)[:, None], 0.0, twice_sn, nodes)
+    those nodes, as ``chebinterpolate`` builds it; frozen and shared. With b = 2sn, P_0 = 1,
+    P_1 = ((b+2) x - b)/2 and 2n (n+b) (2n+b-2) P_n = (2n+b-1) ((2n+b)(2n+b-2) x - b^2)
+    P_{n-1} - 2 (n-1) (n+b-1) (2n+b) P_{n-2}."""
+    nodes, b = chebyshev.chebpts1(blocks), twice_sn
+    rows = [np.ones(blocks), ((b + 2) * nodes - b) / 2.0]
+    for n in range(2, blocks):
+        c = 2 * n + b
+        rows.append(((c - 1) * (c * (c - 2) * nodes - b * b) * rows[-1]
+                     - 2 * (n - 1) * (n + b - 1) * c * rows[-2]) / (2 * n * (n + b) * (c - 2)))
+    jacobi = np.array(rows[blocks - 1::-1])
     vander = chebyshev.chebvander(nodes, blocks - 1).T
     for table in (jacobi, vander):
         table.setflags(write=False)
@@ -88,7 +94,6 @@ def _gains(sn: HalfInt, nspins: int, codes: np.ndarray, decoders: np.ndarray) ->
     its own pieces only: a row's gain does not depend on the other rows.
     Raises, naming the first such row, unless every row's q integrates to 1.
     """
-    from scipy import special
     rows, blocks = codes.shape
     products = _overlap_products(codes, decoders)
     cuts = np.ones((rows, blocks + 1))
@@ -121,7 +126,8 @@ def _gains(sn: HalfInt, nspins: int, codes: np.ndarray, decoders: np.ndarray) ->
     w = (widths[:, :, None] * _PIECE_WEIGHTS).reshape(rows, -1)
     overlap = _axial_series(_axial_coefficients(sn, nspins, products), nspins, np.arccos(x))
     q = _tower_dim(sn, nspins) * np.abs(overlap) ** 2
-    mass, gain = _row_sums(w * np.stack((q, special.xlogy(q, q))), pieces)
+    q_log_q = q * np.log(q, out=np.zeros(q.shape), where=q > 0)
+    mass, gain = _row_sums(w * np.stack((q, q_log_q)), pieces)
     resolved = np.abs(mass - 1.0) <= 1e-8
     if not resolved.all():
         k = int(np.argmin(resolved))

@@ -435,6 +435,13 @@ def spectral_entropy(values: np.ndarray) -> float:
 
 
 def bessel_j0_first_zero() -> float:
-    """First positive zero of the Bessel function J0, about 2.4048."""
-    from scipy import special  # here, not at the top: importing spinlab loads no scipy
-    return float(special.jn_zeros(0, 1)[0])
+    """First positive zero of J0, 2.404825557695773 (j_{0,1} rounded): Newton from 2.4 on 30
+    terms of the series J0(x) = sum_k (-x^2/4)^k / (k!)^2 and of J0' = -J1 until it settles."""
+    x, x_old = 2.4, 0.0
+    while x != x_old:  # the same four steps on every call
+        h2 = -x * x / 4.0
+        j0, j1, t0, t1 = 0.0, 0.0, 1.0, x / 2.0
+        for k in range(1, 31):
+            j0, j1, t0, t1 = j0 + t0, j1 + t1, t0 * h2 / (k * k), t1 * h2 / (k * (k + 1))
+        x, x_old = x + j0 / j1, x
+    return x

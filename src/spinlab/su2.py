@@ -162,44 +162,43 @@ def _projection_values(s: HalfInt) -> np.ndarray:
     return np.arange(s.twice, -s.twice - 1, -2) / 2.0
 
 
+def _sy_half(off: list[float], lam: float) -> list[float]:
+    """Entries 0, ..., floor(S) of T's eigenvector at lam from v_0 = 1, unnormalised; the
+    entries grow from both ends inwards (stable), scaled by 1e-100 past 1e100."""
+    v, prev, cur, t_prev = [1.0], 0.0, 1.0, 0.0
+    for t in off[:len(off) // 2]:
+        prev, cur, t_prev = cur, (lam * cur - t_prev * prev) / t, t
+        if not -1e100 <= cur <= 1e100:
+            v, prev, cur = [x * 1e-100 for x in v], prev * 1e-100, cur * 1e-100
+        v.append(cur)
+    return v
+
+
 # a few spins: wigner_small_d over all columns of a spin solves its T once
 @lru_cache(maxsize=4)
-def _sy_tridiagonal(twice: int, index: int | None = None
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Checked eigenpairs of the real tridiagonal form T of S_y for spin twice/2.
-
-    S_y = diag(i^k) T diag(i^k)^dagger in the descending basis k = S - m; T
-    has zero diagonal and off-diagonals sqrt(S(S+1) - m'(m'+1))/2 for
-    m' = -S, ..., S - 1. With index None every pair comes from
-    numpy.linalg.eigh of the dense T, in O(S^3); otherwise the one pair of
-    eigenvalue index - S from scipy.linalg.eigh_tridiagonal, in O(S).
-
-    Returns (lam, vecs, fold), frozen and shared: the eigenvalues, the real
-    eigenvectors as columns, and fold[i] = |2i - 2S| // 2, the harmonic
-    k = |2 lam| of lam = i - S as an index into k = 2S mod 2, ..., 2S.
-    Raises RuntimeError unless each eigenvalue is within 1e-9 of i - S and
-    each eigenvector's squares sum to 1 within 1e-12.
-    """
-    mp = np.arange(-twice, twice, 2)  # 2m' for m' = -S, ..., S - 1
-    off = np.sqrt((twice - mp) * (twice + mp + 2.0)) / 4.0
+def _sy_vectors(twice: int, index: int | None = None) -> np.ndarray:
+    """Checked eigenvectors, frozen and shared, of T, S_y = diag(i^k) T diag(i^k)^dagger
+    (k = S - m) for spin twice/2: all, column i at lam = i - S, or the one at index. T has
+    zero diagonal, off-diagonals t_k = sqrt((k+1)(2S-k))/2 and these eigenvalues exactly,
+    so t_{k-1} v_{k-1} + t_k v_{k+1} = lam v_k (:func:`_sy_half`; Feng, Wang, Yang & Jin,
+    PRE 92, 043307 (2015)), v_{2S-k} = (-1)^(2S-i) v_k and v(-lam)_k = (-1)^k v(lam)_k
+    give them. Raises RuntimeError unless max |T v - lam v| <= 1e-12 (2S + 1)."""
+    off = [math.sqrt((k + 1) * (twice - k)) / 2.0 for k in range(twice)]
+    cols = np.arange((twice + 1) // 2, twice + 1) if index is None else np.array([index])
+    half = np.array([_sy_half(off, i - twice / 2.0) for i in cols.tolist()]).T
+    vecs = np.concatenate([half, half[twice % 2 - 2::-1] * (-1.0) ** (twice - cols)])
     if index is None:
-        lam, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-        want = np.arange(-twice, twice + 1, 2) / 2.0
-    else:
-        from scipy import linalg  # here, not at the top: its import takes about 80 ms
-        lam, vecs = linalg.eigh_tridiagonal(np.zeros(twice + 1), off, select="i",
-                                            select_range=(index, index))
-        want = index - twice / 2.0
-    lam_err = float(np.max(np.abs(lam - want)))
-    norm_err = float(np.max(np.abs(np.sum(np.square(vecs), axis=0) - 1.0)))
-    if not (lam_err <= 1e-9 and norm_err <= 1e-12):
-        raise RuntimeError(
-            f"S_y tridiagonal eigenpairs for 2S = {twice} are off: eigenvalues by "
-            f"{lam_err:.3e}, squared norms by {norm_err:.3e}")
-    out = lam, vecs, np.abs(np.arange(-twice, twice + 1, 2)) // 2
-    for a in out:
-        a.setflags(write=False)
-    return out
+        alternate = (-1.0) ** np.arange(twice + 1)[:, None]
+        vecs = np.concatenate([alternate * vecs[:, ::-1][:, :cols[0]], vecs], axis=1)
+    vecs /= np.sqrt(np.sum(vecs * vecs, axis=0))
+    lams = (np.arange(twice + 1) if index is None else index) - twice / 2.0
+    t, edge = np.array(off)[:, None], np.zeros((1, vecs.shape[1]))
+    tv = np.concatenate([t * vecs[1:], edge]) + np.concatenate([edge, t * vecs[:-1]])
+    err = float(np.max(np.abs(tv - lams * vecs)))
+    if not err <= 1e-12 * (twice + 1):
+        raise RuntimeError(f"S_y eigenvectors for 2S = {twice}: max |T v - lam v| = {err:.3e}")
+    vecs.setflags(write=False)
+    return vecs if index is None else vecs[:, 0]
 
 
 # one vector of floor(S) + 1 floats per (spin, projection): a 1000-spin tower
@@ -216,10 +215,10 @@ def _d_diagonal_cosines(twice: int, twice_m: int) -> np.ndarray:
     lam = +-k_i/2. A quarter turn about x takes S_y to S_z and S_z to -S_y,
     so w_lam = |<S,lam|u>|^2 for the eigenvector u of S_y at eigenvalue -m,
     or mirrored, which the fold cannot tell apart, at m: up to phases, the
-    one vector of :func:`_sy_tridiagonal` at m, which raises as it does.
+    one vector of :func:`_sy_vectors` at m, which raises as it does.
     """
-    _, vec, fold = _sy_tridiagonal(twice, (twice + twice_m) // 2)
-    c = np.bincount(fold, weights=vec[:, 0] ** 2)
+    vec = _sy_vectors(twice, (twice + twice_m) // 2)
+    c = np.bincount(np.abs(np.arange(-twice, twice + 1, 2)) // 2, weights=vec * vec)
     c.setflags(write=False)
     return c
 
@@ -235,21 +234,22 @@ def _d_fourier(twice: int, twice_mp: int) -> np.ndarray:
     Yang & Jin, PRE 92, 043307 (2015): with S_y = V diag(lam) V^dagger,
     column m' of exp(-i theta S_y) is Re(w) cos(theta lam) + Im(w)
     sin(theta lam) for w = V diag(conj(V[m', :])). V = diag(i^k) U with U
-    from :func:`_sy_tridiagonal`, so row k of w is i^(k - k') U[k] U[k'],
+    from :func:`_sy_vectors`, so row k of w is i^(k - k') U[k] U[k'],
     k' the row of m'. The pairs lam = +-k/2 fold into F of shape (2S+1, 2n),
     n = floor(S) + 1, with d^S_{m,m'}(theta) = sum_i F[m, i] c_i +
     F[m, n + i] s_i for the harmonics c_i, s_i of :func:`_half_angle_terms`.
     """
-    lam, u, fold = _sy_tridiagonal(twice)
+    u = _sy_vectors(twice)
+    twice_lam = np.arange(-twice, twice + 1, 2)  # 2 lam, column by column
     col = (twice - twice_mp) // 2
     offset = np.arange(twice + 1) - col
     # i^offset is +-1 for even offsets and +-i for odd ones
     w = np.where(offset % 4 < 2, 1.0, -1.0)[:, None] * u * u[col]
     odd = (offset % 2 == 1)[:, None]
     harmonic = np.zeros((twice + 1, twice // 2 + 1))
-    harmonic[np.arange(twice + 1), fold] = 1.0
+    harmonic[np.arange(twice + 1), np.abs(twice_lam) // 2] = 1.0
     table = np.concatenate([np.where(odd, 0.0, w) @ harmonic,
-                            np.where(odd, w * np.sign(lam), 0.0) @ harmonic], axis=1)
+                            np.where(odd, w * np.sign(twice_lam), 0.0) @ harmonic], axis=1)
     table.setflags(write=False)
     return table
 

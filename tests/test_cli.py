@@ -198,20 +198,28 @@ def test_simulate_seeded_rows_pinned(args, row, capsys):
     assert out.splitlines() == ["n,povm,shots,seed,f_hat,stderr,f_exact,z_score", row]
 
 
+# one of each subcommand, with both POVM kinds and every infogain mode
+SUBCOMMANDS = ("table --max-n 7", "verify --level fast", "verify --level full",
+               "simulate --n 12 --shots 1000", "simulate --n 2 --povm octahedron --shots 1000",
+               "infogain --mode closed", "infogain --mode quadrature",
+               "infogain --mode alpha-scan", "asymptotic")
+
+
 def test_simulate_leaves_scipy_linalg_unimported():
-    # the sampler's Wigner-d tables come from numpy.linalg.eigh, and scipy.special
-    # is imported only where the J0 zero and the information gain need it; a
-    # scipy import would add 80-300 ms to every table and simulate call
-    code = ("import sys; from spinlab import cli; "
-            "status = cli.main(sys.argv[1:]); "
-            "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # numpy is the only runtime dependency: no subcommand imports any scipy
+    # module, which would add 0.2-0.3 s to every run; scipy is the tests' oracle
+    code = ("import contextlib, io, sys\n"
+            "from spinlab import cli\n"
+            "for args in sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        status = cli.main(args.split())\n"
+            "    print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    for args in (["table", "--max-n", "7"], ["simulate", "--n", "12", "--shots", "1000"]):
-        done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                              text=True, env=env, check=True)
-        assert done.stdout.splitlines()[-1] == "0 []", args
+    done = subprocess.run([sys.executable, "-c", code, *SUBCOMMANDS], capture_output=True,
+                          text=True, env=env, check=True)
+    assert dict(zip(SUBCOMMANDS, done.stdout.splitlines())) == dict.fromkeys(SUBCOMMANDS, "0 []")
 
 
 def test_simulate_repeat_seed_identical(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_jacobi, eval_legendre
 
-from spinlab import fidelity
+from spinlab import fidelity, numerics
 from spinlab.codes import AlphaFamily, MultiRepState, alpha_code, coherent_code, minimal_sn
 from spinlab.fidelity import (asymptotic_table, build_m, fidelity_optimal,
                               fidelity_parallel, fidelity_quadrature,
@@ -210,6 +210,25 @@ def test_batched_table_equals_single_calls():
     assert [row[1] for row in asymptotic_table(1000)] == want
     with pytest.raises(ValueError):
         max_fidelity_polynomials(0)
+
+
+def test_batched_table_in_several_passes_equals_single_calls(monkeypatch):
+    # a small pass size splits the table into passes of 7 consecutive N (top
+    # degree 51); each N's zero does not depend on the pass it runs in
+    assert fidelity._PASS_COEFFICIENTS // (1000 // 2 + 1) >= 1000  # N <= 1000: one pass
+    calls = []
+    batched = numerics._largest_zeros
+
+    def counted(kinds, degrees):
+        calls.append(len(kinds))
+        return batched(kinds, degrees)
+
+    monkeypatch.setattr(fidelity, "_PASS_COEFFICIENTS", 360)
+    monkeypatch.setattr(numerics, "_largest_zeros", counted)
+    got = max_fidelity_polynomials(100)
+    assert calls == [7] * 14 + [2]
+    want = [max_fidelity_polynomial(n) for n in range(1, 101)]
+    assert [f.hex() for f in got.tolist()] == [f.hex() for f in want]
 
 
 def test_asymptotic_table_strictly_increasing():

@@ -4,17 +4,33 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
+from scipy.special import eval_jacobi
 
 from spinlab.codes import (AlphaFamily, MultiRepState, _axial_overlap, alpha_code,
                            coherent_code, matched_decoder)
 from spinlab.fidelity import max_fidelity_rotation
-from spinlab.infogain import (_gains, info_gain_closed, info_gain_quadrature, maximize_alpha,
-                              scan_alpha)
+from spinlab.infogain import (_fit_tables, _gains, info_gain_closed, info_gain_quadrature,
+                              maximize_alpha, scan_alpha)
 from spinlab.su2 import HalfInt
 
 LOG2E = 1.0 / math.log(2.0)
+
+
+@pytest.mark.parametrize("twice_sn", [0, 1, 40])
+def test_fit_table_jacobi_rows_match_scipy(twice_sn):
+    # the recurrence rows P^(0,2sn)_{B-1}, ..., P_0 at the B Chebyshev nodes,
+    # each within 1e-11 of its largest value (3.3e-12 measured, at B = 501)
+    for blocks in [*range(1, 40), 64, 100, 255, 501]:
+        jacobi, vander = _fit_tables(blocks, twice_sn)
+        nodes = chebyshev.chebpts1(blocks)
+        want = eval_jacobi(np.arange(blocks - 1, -1, -1)[:, None], 0.0, twice_sn, nodes)
+        assert jacobi.shape == want.shape == (blocks, blocks)
+        err = np.max(np.abs(jacobi - want), axis=1) / np.max(np.abs(want), axis=1)
+        assert np.max(err) < 1e-11, blocks
+        assert not jacobi.flags.writeable and not vander.flags.writeable
 
 
 def test_info_gain_closed_formula():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.special import eval_jacobi, eval_legendre, roots_jacobi, roots_legendre
+from scipy.special import eval_jacobi, eval_legendre, jn_zeros, roots_jacobi, roots_legendre
 
 from spinlab import numerics
 from spinlab.fidelity import build_m, max_fidelity_rotation
@@ -194,6 +194,13 @@ def test_bessel_first_zero_against_series_newton():
             break
     assert bessel_j0_first_zero() == pytest.approx(x, abs=1e-13)
     assert bessel_j0_first_zero() == pytest.approx(2.404825557695773, abs=1e-12)
+
+
+def test_bessel_first_zero_is_correctly_rounded():
+    # j_{0,1} = 2.40482 55576 95772 76862... (DLMF, chapter 10), whose nearest float
+    # scipy's jn_zeros misses by one ulp
+    assert bessel_j0_first_zero() == float("2.4048255576957727686") == 2.404825557695773
+    assert abs(bessel_j0_first_zero() - jn_zeros(0, 1)[0]) <= math.ulp(2.404825557695773)
 
 
 def test_tridiag_validation_and_dense():

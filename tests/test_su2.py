@@ -1,5 +1,6 @@
 """Half-integer bookkeeping, Wigner rotations, and the two-qubit spin-3/2."""
 
+import decimal
 import math
 
 import numpy as np
@@ -243,29 +244,96 @@ def test_half_angle_kernel_matches_d_column(twice_s, data, xs):
         assert np.max(np.abs(got - want)) < 1e-13
 
 
+def sy_tridiagonal(twice):
+    """The real tridiagonal form T of S_y for spin twice/2: zero diagonal and
+    off-diagonals sqrt((k+1)(2S-k))/2."""
+    k = np.arange(twice)
+    return np.zeros(twice + 1), np.sqrt((k + 1.0) * (twice - k)) / 2.0
+
+
+def sign_fixed(got, want):
+    """got with each column's sign taken from want at want's largest entry."""
+    cols = np.arange(want.shape[1])
+    rows = np.argmax(np.abs(want), axis=0)
+    return got * np.sign(got[rows, cols] * want[rows, cols])
+
+
+def test_sy_vectors_match_dense_eigh():
+    # every full set up to 2S = 401 against LAPACK's dense solver; the bound is
+    # eigh's own error, up to 1.9e-14 (2S = 368, lam = -181) against a
+    # 300-digit evaluation, where the recurrence is within 6.3e-16 of it
+    for twice in range(402):
+        _, off = sy_tridiagonal(twice)
+        want = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))[1]
+        got = su2._sy_vectors(twice)
+        assert got.shape == want.shape
+        assert np.max(np.abs(sign_fixed(got, want) - want)) < 3e-14, twice
+
+
+@pytest.mark.parametrize("twice", [1, 2, 3, 10, 101, 400, 1000, 1001, 2000, 4000, 4001])
+def test_sy_vector_matches_eigh_tridiagonal(twice):
+    diag, off = sy_tridiagonal(twice)
+    for index in sorted({0, twice // 3, twice // 2, twice}):
+        want = scipy.linalg.eigh_tridiagonal(diag, off, select="i",
+                                             select_range=(index, index))[1]
+        got = su2._sy_vectors(twice, index)
+        assert got.shape == (twice + 1,)
+        assert np.max(np.abs(sign_fixed(got[:, None], want) - want)) < 1e-14, index
+
+
+@pytest.mark.parametrize("twice, index", [(368, 3), (368, 184), (401, 400), (1001, 333)])
+def test_sy_vector_matches_high_precision_recurrence(twice, index):
+    # the same recurrence run the whole length in 300-digit decimals, normalised
+    with decimal.localcontext() as ctx:
+        ctx.prec = 300
+        lam = decimal.Decimal(2 * index - twice) / 2
+        off = [(decimal.Decimal((k + 1) * (twice - k))).sqrt() / 2 for k in range(twice)]
+        v = [decimal.Decimal(1)]
+        for k, t in enumerate(off):
+            v.append((lam * v[-1] - (off[k - 1] * v[-2] if k else 0)) / t)
+        norm = sum(x * x for x in v).sqrt()
+        want = np.array([float(x / norm) for x in v])[:, None]
+    got = su2._sy_vectors(twice, index)[:, None]
+    assert np.max(np.abs(sign_fixed(got, want) - want)) < 2e-15
+
+
+def test_sy_vector_guard_holds_to_2s_10001():
+    # the residual guard max |T v - lam v| <= 1e-12 (2S + 1) passes at the
+    # extreme and middle eigenvalues, past the 1e100 rescaling
+    for index in (0, 1, 3333, 5000, 10000, 10001):
+        v = su2._sy_vectors(10001, index)
+        assert np.all(np.isfinite(v)) and abs(v @ v - 1.0) < 1e-13
+
+
+def test_sy_vectors_are_read_only():
+    for args in ((9,), (9, 4)):
+        v = su2._sy_vectors(*args)
+        assert v is su2._sy_vectors(*args)
+        assert not v.flags.writeable
+
+
 @pytest.mark.parametrize("fault", ["eigenvalue", "norm"])
 @pytest.mark.parametrize("solve", ["table", "vector"])
 def test_sy_tridiagonal_guard_raises(solve, fault, monkeypatch):
-    # the full solve behind _d_fourier and the one-vector solve behind
-    # _d_diagonal_cosines share one eigenvalue and norm guard
-    module, name, build = {
-        "table": (np.linalg, "eigh", su2._d_fourier),
-        "vector": (scipy.linalg, "eigh_tridiagonal", su2._d_diagonal_cosines),
-    }[solve]
-    solver = getattr(module, name)
+    # the full set behind _d_fourier and the one vector behind
+    # _d_diagonal_cosines come from one recurrence with one residual guard:
+    # it raises on a lam that is not an eigenvalue, and on entries whose
+    # scales disagree, as a rescaling past 1e100 that missed one would leave
+    build = {"table": su2._d_fourier, "vector": su2._d_diagonal_cosines}[solve]
+    recurrence = su2._sy_half
 
-    def faulty(*args, **kwargs):
-        lam, vecs = solver(*args, **kwargs)
+    def faulty(off, lam):
         if fault == "eigenvalue":
-            return lam + 2e-9, vecs
-        return lam, vecs * (1.0 + 1e-12)
+            return recurrence(off, lam + 1e-6)
+        v = recurrence(off, lam)
+        return v[:-1] + [v[-1] * (1.0 + 1e-6)]
 
-    caches = (build, su2._sy_tridiagonal)  # the eigenpairs are cached as well
+    caches = (build, su2._sy_vectors)  # the eigenvectors are cached as well
     for cache in caches:
         cache.cache_clear()
-    monkeypatch.setattr(module, name, faulty)
+    monkeypatch.setattr(su2, "_sy_half", faulty)
     try:
-        with pytest.raises(RuntimeError, match="eigenpairs"):
+        with pytest.raises(RuntimeError, match="eigenvectors"):
             build(7, 1)
     finally:
         monkeypatch.undo()
@@ -281,7 +349,8 @@ def test_sy_tridiagonal_guard_raises(solve, fault, monkeypatch):
        st.lists(st.floats(0.0, math.pi), min_size=1, max_size=20))
 def test_diagonal_cosine_series_matches_wigner_small_d(twice_s, data, thetas):
     # the +z quadrature's one-vector series against the full-table kernel of
-    # wigner_small_d (same tridiagonal matrix, other LAPACK solver), both parities
+    # wigner_small_d, both parities; both come from _sy_vectors, whose own
+    # accuracy the eigh, eigh_tridiagonal and high-precision tests hold
     twice_m = data.draw(st.sampled_from(range(-twice_s, twice_s + 1, 2)))
     theta = np.array([0.0, math.pi, *thetas])
     c = su2._d_diagonal_cosines(twice_s, twice_m)
@@ -302,27 +371,30 @@ def test_diagonal_cosines_are_read_only():
 
 def test_whole_d_matrix_solves_its_spin_once(monkeypatch):
     # element by element, m outer and m' inner, every column table of one
-    # spin reads the eigenpairs of a single dense solve of its tridiagonal S_y
-    solver = np.linalg.eigh
+    # spin reads the eigenvectors of a single full-set solve: 51 recurrences,
+    # one per lam >= 0
+    recurrence = su2._sy_half
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return solver(*args, **kwargs)
+    def counted(off, lam):
+        calls.append((len(off), lam))
+        return recurrence(off, lam)
 
-    caches = (su2._d_fourier, su2._sy_tridiagonal)
+    caches = (su2._d_fourier, su2._sy_vectors)
     for cache in caches:
         cache.cache_clear()
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(su2, "_sy_half", counted)
     try:
         s = HalfInt(100)
         d = np.array([[wigner_small_d(s, m, mp, 0.9) for mp in projections(s)]
                       for m in projections(s)])
+        solves = su2._sy_vectors.cache_info().misses
     finally:
         monkeypatch.undo()
         for cache in caches:
             cache.cache_clear()
-    assert calls == [(101, 101)]
+    assert solves == 1
+    assert calls == [(100, float(lam)) for lam in range(51)]
     assert np.max(np.abs(d @ d.T - np.eye(101))) < 1e-13
 
 
