@@ -8,6 +8,7 @@ projection at a time and the sampler draws a ring, then an outcome on it.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -20,14 +21,17 @@ from .codes import (MultiRepState, _decoded_fidelity, _exact_rings, _projection_
                     decoder_coefficients)
 from .su2 import Direction, HalfInt, X_AXIS, Y_AXIS, Z_AXIS, _half_angle_terms, _powers, rotate_to
 
-# chunk size for vectorized sampling; fixed so a seed gives one stream
+# shots per sampling chunk. It fixes the layout of the random stream, k values of
+# cos(theta), then k of phi, then k of u per chunk of k shots, and the length of
+# the one score vector whose pairwise sums make the estimate, so a seed gives one
+# result; no other array of simulate grows with it or with the shot count
 _CHUNK = 1 << 17
 # values per sampling sub-block: shots times a per-shot footprint of K + D on
 # the generic path (K outcomes, dimension D), T + P + N + 1 on the ring path
-# (T rings of P outcomes, N + 1 projection slots). The draw is bound by memory
-# traffic, so sub-blocks stay in cache (13107 shots for the octahedron, 3196
-# for the N = 12 grid): on a 2 MB-L2 Xeon core, 211 and 589 ns per shot against
-# 351 and 1085 ns in whole 131072-shot chunks
+# (T rings of P outcomes, N + 1 projection slots). Draws, kept buffers and
+# temporaries come to 26-34 bytes per counted value, so a sub-block holds
+# 3.4-4.5 MB: 13107 shots at 340 bytes each for the octahedron, 3196 at 1075
+# for the N = 12 grid, 1048 at 4151 for the N = 40 grid (tracemalloc)
 _BUDGET = 1 << 17
 
 
@@ -198,9 +202,23 @@ def _check_total(total: np.ndarray) -> None:
             "the POVM does not resolve the identity on this code space")
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
-    """|z|^2 as re^2 + im^2, without the square root of np.abs."""
-    return np.square(z.real) + np.square(z.imag)
+def _scratch():
+    """A getter of work arrays for one call: each name is one flat byte buffer,
+    kept across sub-blocks and grown on demand, that any array of any dtype may
+    take once the array before it in that buffer is dead. The arrays of a
+    sub-block are so allocated once per call; freed and allocated again, they
+    would fault their pages in every time, or not, as glibc's dynamic mmap and
+    trim thresholds happen to stand."""
+    buffers = {}
+
+    def scratch(name, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        if name not in buffers or buffers[name].size < size:
+            buffers[name] = np.empty(size, dtype=np.uint8)
+        return buffers[name][:size].view(dtype).reshape(shape)
+
+    return scratch
 
 
 def _running_sum(a: np.ndarray) -> np.ndarray:
@@ -212,10 +230,13 @@ def _running_sum(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _first_reaching(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _first_reaching(cum: np.ndarray, u: np.ndarray, out: np.ndarray,
+                    below: np.ndarray) -> np.ndarray:
     """Per column, the first row whose cumulative probability reaches u; the
-    last row when rounding leaves the total just below u."""
-    return np.minimum((cum < u[None, :]).sum(axis=0), cum.shape[0] - 1)
+    last row when rounding leaves the total just below u. Written into out, with
+    below, of cum's shape, as work space; returns out."""
+    np.sum(np.less(cum, u, out=below), axis=0, out=out)
+    return np.minimum(out, cum.shape[0] - 1, out=out)
 
 
 def _half_turn(x: np.ndarray) -> np.ndarray:
@@ -231,34 +252,29 @@ def _generic_sampler(code: MultiRepState, p: FinitePovm):
     cumulative probability w_k |<s_k|A(n)>|^2 reaches u. The code state
     is the tower's d-columns times e^{i j phi} in slot j, m = N/2 - j (the common
     e^{-i N phi/2} drops out); the code's coefficients are folded into the bras once.
+    The indices are written into a buffer that the next call overwrites.
     """
     table, blocks = _tower_kernel(code)
     bras = p.states.conj() * np.repeat(code.coeffs, [s.twice + 1 for s in code.spins])
     weights = p.weights[:, None]
-    # one flat buffer per sub-block array, kept across sub-blocks and grown on demand:
-    # freed and allocated again, these arrays would fault their pages in every time
-    buffers = {}
-
-    def scratch(name: str, shape: tuple[int, int], dtype) -> np.ndarray:
-        size = shape[0] * shape[1]
-        if name not in buffers or buffers[name].size < size:
-            buffers[name] = np.empty(size, dtype=dtype)
-        return buffers[name][:size].reshape(shape)
+    scratch = _scratch()
 
     def draw(x: np.ndarray, turn: np.ndarray, u: np.ndarray) -> np.ndarray:
         shots = x.size
+        # the (rows, shots) arrays alternate between buffers 0 and 1
         d = np.matmul(table, _half_angle_terms(_half_turn(x), code.nspins),
-                      out=scratch("d", (code.dim, shots), float))         # (D, shots)
+                      out=scratch(0, (code.dim, shots)))                  # (D, shots)
         phases = _powers(1.0, turn, code.nspins + 1)
-        amp = scratch("amp", (code.dim, shots), complex)
+        amp = scratch(1, (code.dim, shots), complex)
         for rows, slots in blocks:
             np.multiply(d[rows], phases[slots], out=amp[rows])
-        overlaps = np.matmul(bras, amp, out=scratch("overlaps", (bras.shape[0], shots), complex))
-        probs = np.square(overlaps.real, out=scratch("probs", overlaps.shape, float))
+        overlaps = np.matmul(bras, amp, out=scratch(0, (bras.shape[0], shots), complex))
+        probs = np.square(overlaps.real, out=scratch(1, overlaps.shape))  # (K, shots)
         probs += np.square(overlaps.imag, out=overlaps.imag)
         probs *= weights
-        _check_total(probs.sum(axis=0))
-        return _first_reaching(_running_sum(probs), u)
+        _check_total(np.sum(probs, axis=0, out=scratch("total", (shots,))))
+        return _first_reaching(_running_sum(probs), u, scratch("pick", (shots,), np.intp),
+                               scratch("below", probs.shape, bool))
 
     return draw
 
@@ -276,63 +292,91 @@ def _ring_sampler(code: MultiRepState, p: RingPovm):
     as a Chebyshev series from N + 1 nodes. The returned function maps
     (cos(theta), e^{i phi}, u) of a sub-block of shots to outcome indices:
     a ring from the fitted probabilities, then an outcome from its ring's P
-    amplitudes, the shots of one ring sharing one matrix product.
+    amplitudes, the shots of one ring sharing one matrix product. The indices
+    are written into a buffer that the next call overwrites.
+
+    The tables and the fit are built one block of rings at a time, so their
+    temporaries hold about 2 _BUDGET floats whatever N; each ring's values are
+    those of one whole-table pass.
     """
     size, ring_weights = p.ring_size, p.weights
-    nslots = code.nspins + 1
+    nrings, nslots = ring_weights.size, code.nspins + 1
     table, blocks = _tower_kernel(code)
     mixed = (np.repeat(code.coeffs, [s.twice + 1 for s in code.spins]) * p.states.conj()).T
+    step = max(1, _BUDGET // (nslots * nslots))
+    ring_blocks = [slice(lo, lo + step) for lo in range(0, nrings, step)]
     # real and imaginary parts stacked, so each product is a real one; the
     # table, O(N^3) floats, is the largest array of the ring path
-    fold = np.zeros((ring_weights.size, 2, nslots, table.shape[1]))
-    for rows, slots in blocks:
-        part = mixed[rows].T[:, :, None]
-        fold[:, 0, slots] += part.real * table[rows]
-        fold[:, 1, slots] += part.imag * table[rows]
-    fold = fold.reshape(ring_weights.size, 2 * nslots, -1)              # (T, 2(N + 1), 2n)
+    fold = np.zeros((nrings, 2, nslots, table.shape[1]))
+    for rings in ring_blocks:
+        for rows, slots in blocks:
+            part = mixed[rows].T[rings, :, None]
+            fold[rings, 0, slots] += part.real * table[rows]
+            fold[rings, 1, slots] += part.imag * table[rows]
+    fold = fold.reshape(nrings, 2 * nslots, -1)                         # (T, 2(N + 1), 2n)
     # the top block S = N/2 alone lists every projection once, in slot order
     to_ring = _tower_phases(HalfInt(code.nspins), code.nspins, size).conj()  # (P, N + 1)
 
     def ring_probabilities(x: np.ndarray) -> np.ndarray:
-        g = fold @ _half_angle_terms(_half_turn(x), code.nspins)        # (T, 2(N + 1), nodes)
-        return ((size * ring_weights)[:, None] * np.sum(np.square(g, out=g), axis=1)).T
+        terms = _half_angle_terms(_half_turn(x), code.nspins)
+        summed = np.empty((nrings, x.size))
+        for rings in ring_blocks:
+            g = fold[rings] @ terms                                     # (rings, 2(N + 1), nodes)
+            np.sum(np.square(g, out=g), axis=1, out=summed[rings])
+        return ((size * ring_weights)[:, None] * summed).T
 
     coef = chebyshev.chebinterpolate(ring_probabilities, code.nspins).T  # (T, N + 1)
+    scratch = _scratch()
 
     def draw(x: np.ndarray, turn: np.ndarray, u: np.ndarray) -> np.ndarray:
-        fitted = coef @ chebyshev.chebvander(x, code.nspins).T           # (T, shots)
-        cum = _running_sum(fitted.copy())
-        _check_total(cum[-1])
-        ring = _first_reaching(cum, u)
+        shots = x.size
+        # the (rows, shots) arrays alternate between buffers 0 and 1
+        fitted = np.matmul(coef, chebyshev.chebvander(x, code.nspins).T,
+                           out=scratch(0, (nrings, shots)))             # (T, shots)
+        cum = scratch(1, fitted.shape)
+        cum[...] = fitted
+        _check_total(_running_sum(cum)[-1])
+        ring = _first_reaching(cum, u, scratch("ring", (shots,), np.intp),
+                               scratch("below", cum.shape, bool))
         # from here on the shots run ring by ring, so each ring's shots share
         # one product with its table; only the outcome indices go back
         order = np.argsort(ring, kind="stable")
-        ring = ring[order]
-        own = fitted[ring, order]
-        base = cum[ring, order] - own
-        terms = _half_angle_terms(_half_turn(x[order]), code.nspins)
-        parts = np.empty((2 * nslots, x.size))
+        ring = np.take(ring, order, out=scratch("sorted", (shots,), np.intp))
+        at = np.multiply(ring, shots, out=scratch("at", (shots,), np.intp))
+        at += order                                                     # flat (ring, shot)
+        own = np.take(fitted, at, out=scratch("own", (shots,)))
+        base = np.take(cum, at, out=scratch("base", (shots,)))
+        base -= own
+        terms = _half_angle_terms(_half_turn(np.take(x, order, out=scratch("x", (shots,)))),
+                                  code.nspins)
+        parts = scratch(0, (2 * nslots, shots))
         lo = 0
-        for j, hi in enumerate(np.cumsum(np.bincount(ring, minlength=ring_weights.size))):
+        for j, hi in enumerate(np.cumsum(np.bincount(ring, minlength=nrings))):
             np.matmul(fold[j], terms[:, lo:hi], out=parts[:, lo:hi])
             lo = hi
-        g = np.empty((nslots, x.size), dtype=complex)                    # g_jm e^{i j phi}
+        del terms  # before the phases, the largest temporary
+        g = scratch(1, (nslots, shots), complex)                         # g_jm e^{i j phi}
         g.real = parts[:nslots]
         g.imag = parts[nslots:]
-        # free what is dead before the largest temporaries: once a sub-block's heap
-        # passes glibc's trim threshold (4 MB after the 2 MB chunk arrays), every
-        # sub-block faults its pages in again
-        del fitted, cum, terms, parts
-        g *= _powers(1.0, turn[order], nslots)
-        probs = _abs2(to_ring @ g)                                       # (P, shots)
-        probs *= ring_weights[ring]
-        worst = float(np.max(np.abs(probs.sum(axis=0) - own)))
+        g *= _powers(1.0, np.take(turn, order, out=scratch("turn", (shots,), complex)), nslots)
+        overlaps = np.matmul(to_ring, g, out=scratch(0, (size, shots), complex))
+        probs = np.square(overlaps.real, out=scratch(1, overlaps.shape))  # (P, shots)
+        probs += np.square(overlaps.imag, out=overlaps.imag)
+        probs *= np.take(ring_weights, ring, out=scratch("weight", (shots,)))
+        gap = np.sum(probs, axis=0, out=scratch("gap", (shots,)))
+        gap -= own
+        worst = float(np.max(np.abs(gap, out=gap)))
         if not worst <= 1e-8:
             raise RuntimeError(
                 f"a ring's outcome probabilities differ from its fitted probability by "
                 f"{worst:.3e}; the grid POVM does not resolve the identity on this code space")
-        out = np.empty(x.size, dtype=np.intp)
-        out[order] = ring * size + _first_reaching(base + _running_sum(probs), u[order])
+        probs = _running_sum(probs)
+        probs += base
+        pick = _first_reaching(probs, np.take(u, order, out=scratch("u", (shots,))),
+                               scratch("pick", (shots,), np.intp), scratch("below", probs.shape, bool))
+        pick += np.multiply(ring, size, out=at)
+        out = scratch("out", (shots,), np.intp)
+        out[order] = pick
         return out
 
     return draw
@@ -353,8 +397,8 @@ def simulate(code: MultiRepState, p: FinitePovm | RingPovm, shots: int,
         Number of independent uniformly random directions, >= 1.
     seed : int
         PCG64 stream seed. A given seed reproduces the estimate bit for
-        bit; the fixed internal chunk size keeps the draw order stable,
-        and chunks are scored in sub-blocks of bounded size.
+        bit: the fixed chunk size (``_CHUNK``) fixes the stream's layout,
+        and the sub-blocks only read it in pieces.
 
     Returns
     -------
@@ -389,14 +433,21 @@ def simulate(code: MultiRepState, p: FinitePovm | RingPovm, shots: int,
 
     Both paths pick the same outcome except when u lies within rounding
     (about 1e-16) of a cumulative boundary. On one 2 MB-L2 Xeon core with
-    one BLAS thread a call costs about 0.2 us per shot for the octahedron,
-    0.6 us for the N = 12 grid and 3 us at N = 40, draws and score included.
+    one BLAS thread a call costs about 0.3 us per shot for the octahedron,
+    0.9 us for the N = 12 grid and 3 us at N = 40, draws and score included.
+
+    The working set is fixed per call. A sub-block of ``_BUDGET`` //
+    footprint shots reads its cos(theta), phi and u from copies of the bit
+    generator advanced to their offsets in the chunk (PCG64 spends one output
+    per double, so the values are those of whole-chunk draws), then draws and
+    scores in buffers kept for the call. Only the score vector has one entry
+    per shot of a chunk (1 MB), so a call's allocations peak near 5.2 MiB for
+    the octahedron and 4.3 MiB for the N = 12 grid, at any shot count.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if p.dim != code.dim:
         raise ValueError("POVM and code dimensions differ")
-    rng = np.random.default_rng(seed)
     if isinstance(p, RingPovm) and (p.sn, p.nspins) == (code.sn, code.nspins):
         draw = _ring_sampler(code, p)
         footprint = p.weights.size + p.ring_size + code.nspins + 1
@@ -408,30 +459,54 @@ def simulate(code: MultiRepState, p: FinitePovm | RingPovm, shots: int,
         guesses = p.guesses
     width = max(1, _BUDGET // footprint)
     gx, gy, gz = np.ascontiguousarray(guesses.T)
+    bits = np.random.default_rng(seed).bit_generator
+    scratch = _scratch()
+    score = np.empty(min(_CHUNK, shots))
     total, total_sq, done = 0.0, 0.0, 0
     while done < shots:
         k = min(_CHUNK, shots - done)
-        cos_th = rng.uniform(-1.0, 1.0, k)
-        ph = rng.uniform(0.0, 2.0 * math.pi, k)
-        u = rng.random(k)
-        th = np.arccos(cos_th)
-        # cos(phi) and sin(phi) serve both the draw and the score, whose
-        # unit vector is (sin th cos ph, sin th sin ph, cos th), dotted with the
-        # guess term by term
-        cos_ph, sin_ph = np.cos(ph), np.sin(ph)
-        turn = cos_ph + 1j * sin_ph
-        idx = np.empty(k, dtype=np.intp)
+        # the chunk's stream is k values of cos(theta), then k of phi, then k of u, one
+        # 64-bit output each; each is read a sub-block at a time from a copy of the
+        # generator moved on to its offset, and the generator itself then skips all 3k
+        cos_draws, ph_draws, u_draws = (np.random.Generator(copy.deepcopy(bits).advance(i * k))
+                                        for i in range(3))
         for lo in range(0, k, width):
-            part = slice(lo, lo + width)
-            idx[part] = draw(cos_th[part], turn[part], u[part])
-        # free what is dead before the score's temporaries, which would otherwise
-        # stack on the generic draw's buffers and raise the peak
-        del cos_th, u, turn
-        st = np.sin(th)
-        score = (1.0 + (st * cos_ph * gx[idx] + st * sin_ph * gy[idx]
-                        + np.cos(th) * gz[idx])) / 2.0
-        total += float(score.sum())
-        total_sq += float((score * score).sum())
+            m = min(width, k - lo)
+            # numpy's uniform(low, high) is low + (high - low) r; 2 r and 0 + 2 pi r
+            # round once either way, so these are uniform(-1, 1) and uniform(0, 2 pi)
+            x = cos_draws.random(out=scratch("x", (m,)))
+            x *= 2.0
+            x -= 1.0
+            ph = ph_draws.random(out=scratch("ph", (m,)))
+            ph *= 2.0 * math.pi
+            u = u_draws.random(out=scratch("u", (m,)))
+            # cos(phi) and sin(phi) serve both the draw and the score
+            cos_ph = np.cos(ph, out=scratch("cos_ph", (m,)))
+            sin_ph = np.sin(ph, out=scratch("sin_ph", (m,)))
+            turn = scratch("turn", (m,), complex)
+            turn.real = cos_ph
+            turn.imag = sin_ph
+            idx = draw(x, turn, u)
+            # the score's unit vector (sin th cos ph, sin th sin ph, cos th) dotted with
+            # the guess term by term, as (1 + (x + y + z)) / 2; x, phi and u are dead,
+            # so their buffers take theta, sin(theta) and cos(theta)
+            th = np.arccos(x, out=x)
+            st = np.sin(th, out=ph)
+            guess = scratch("guess", (m,))
+            acc = np.multiply(st, cos_ph, out=cos_ph)
+            acc *= np.take(gx, idx, out=guess)
+            term = np.multiply(st, sin_ph, out=sin_ph)
+            term *= np.take(gy, idx, out=guess)
+            acc += term
+            term = np.cos(th, out=u)
+            term *= np.take(gz, idx, out=guess)
+            acc += term
+            part = np.add(acc, 1.0, out=score[lo:lo + m])
+            part /= 2.0
+        bits.advance(3 * k)
+        # one chunk-wide vector keeps both sums the pairwise sums of whole chunks
+        total += float(score[:k].sum())
+        total_sq += float(np.square(score[:k], out=score[:k]).sum())
         done += k
     mean = total / shots
     if shots == 1:

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.special import eval_jacobi
 
+from spinlab import infogain
 from spinlab.codes import (AlphaFamily, MultiRepState, _axial_overlap, alpha_code,
                            coherent_code, matched_decoder)
 from spinlab.fidelity import max_fidelity_rotation
@@ -31,6 +32,23 @@ def test_fit_table_jacobi_rows_match_scipy(twice_sn):
         err = np.max(np.abs(jacobi - want), axis=1) / np.max(np.abs(want), axis=1)
         assert np.max(err) < 1e-11, blocks
         assert not jacobi.flags.writeable and not vander.flags.writeable
+
+
+@pytest.mark.parametrize("nspins", [200, 1000])
+def test_large_n_gain_within_tolerance_of_scipy_jacobi_rows(nspins, monkeypatch):
+    # the gain's tolerance past the closed forms: the fit amplifies the rows'
+    # rounding, and scipy's rows (off by up to 2.2e-12 at B = 501) move the
+    # optimal code's gain by 132 ulp at N = 200 and 4.2e-12 at N = 1000
+    _, code = max_fidelity_rotation(nspins)
+    got = info_gain_quadrature(code)
+
+    def scipy_tables(blocks, twice_sn):
+        nodes = chebyshev.chebpts1(blocks)
+        jacobi = eval_jacobi(np.arange(blocks - 1, -1, -1)[:, None], 0.0, twice_sn, nodes)
+        return jacobi, _fit_tables(blocks, twice_sn)[1]
+
+    monkeypatch.setattr(infogain, "_fit_tables", scipy_tables)
+    assert abs(info_gain_quadrature(code) - got) <= 1e-10
 
 
 def test_info_gain_closed_formula():

@@ -296,6 +296,55 @@ def test_simulate_seeded_values_pinned():
     assert octa == pytest.approx((0.7994699350491979, 0.001151710694446307), abs=1e-12)
 
 
+# (mean, stderr) as float.hex at seed 13, computed by whole-chunk draws and scores
+# (one 131072-long array per quantity): two full chunks and a partial one, and one shot
+SEEDED_HEX = {
+    ("octahedron", 2 * povm._CHUNK + 17): ("0x1.995e238376b76p-1", "0x1.4eff6ac628e86p-12"),
+    ("octahedron", 1): ("0x1.bac6bfd3caba6p-1", "inf"),
+    ("grid N=5", 2 * povm._CHUNK + 17): ("0x1.d2884f2f731fbp-1", "0x1.9c4a1a87e6bd8p-13"),
+    ("grid N=5", 1): ("0x1.fff3d11b3366cp-1", "inf"),
+}
+
+
+def _simulate_case(name):
+    if name == "octahedron":
+        return coherent_code(4), octahedron_povm()
+    _, code = max_fidelity_rotation(5)
+    return code, quadrature_povm(minimal_sn(5), 5)
+
+
+@pytest.mark.parametrize("name, shots", list(SEEDED_HEX))
+def test_simulate_seeded_values_hex_pinned(name, shots):
+    # exact pins: a one-ulp slip in the stream layout, the score or the chunk sums
+    # moves them; the octahedron takes the generic path, the grid the ring path
+    mean, stderr = simulate(*_simulate_case(name), shots, 13)
+    assert (mean.hex(), stderr.hex() if math.isfinite(stderr) else "inf") == SEEDED_HEX[name, shots]
+
+
+def _simulate_peak(code, p, shots):
+    """tracemalloc's peak, in MiB, over one simulate call."""
+    tracemalloc.start()
+    try:
+        simulate(code, p, shots, 7)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_working_set_is_independent_of_shots():
+    # draws and scores go by sub-block into buffers kept for the call; only the
+    # score vector has one entry per shot of a chunk. Whole-chunk arrays peaked
+    # at 13.1 and 15.1 MiB for the octahedron and 13.5 MiB for the N = 12 grid
+    octa = coherent_code(4), octahedron_povm()
+    _, code = max_fidelity_rotation(12)
+    grid = code, quadrature_povm(minimal_sn(12), 12)
+    for case in (octa, grid):
+        simulate(*case, 1000, 0)  # warm the per-process caches first
+    small, large = _simulate_peak(*octa, 1 << 17), _simulate_peak(*octa, 1 << 21)
+    assert abs(large - small) <= 0.5 and max(small, large) <= 8.0, (small, large)
+    assert _simulate_peak(*grid, 1 << 18) <= 5.0
+
+
 @pytest.mark.parametrize("nspins", [*range(1, 13), 20, 40])
 def test_ring_path_draws_what_the_generic_path_draws(nspins, monkeypatch):
     _, code = max_fidelity_rotation(nspins)
