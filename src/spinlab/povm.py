@@ -28,10 +28,11 @@ from .su2 import Direction, HalfInt, X_AXIS, Y_AXIS, Z_AXIS, _half_angle_terms, 
 _CHUNK = 1 << 17
 # values per sampling sub-block: shots times a per-shot footprint of K + D on
 # the generic path (K outcomes, dimension D), T + P + N + 1 on the ring path
-# (T rings of P outcomes, N + 1 projection slots). Draws, kept buffers and
-# temporaries come to 26-34 bytes per counted value, so a sub-block holds
-# 3.4-4.5 MB: 13107 shots at 340 bytes each for the octahedron, 3196 at 1075
-# for the N = 12 grid, 1048 at 4151 for the N = 40 grid (tracemalloc)
+# (T rings of P outcomes, N + 1 projection slots). Draws, kept buffers, the
+# score entries and the few temporaries left come to 13-28 bytes per counted
+# value, so a sub-block holds 1.8-3.7 MB: 13107 shots at 279 bytes each for the
+# octahedron, 3196 at 628 for the N = 12 grid, 1048 at 1677 for the N = 40
+# grid (tracemalloc's peak over the sub-blocks, less what the set-up holds)
 _BUDGET = 1 << 17
 
 
@@ -202,20 +203,24 @@ def _check_total(total: np.ndarray) -> None:
             "the POVM does not resolve the identity on this code space")
 
 
-def _scratch():
+def _scratch(widths: dict | None = None):
     """A getter of work arrays for one call: each name is one flat byte buffer,
     kept across sub-blocks and grown on demand, that any array of any dtype may
     take once the array before it in that buffer is dead. The arrays of a
     sub-block are so allocated once per call; freed and allocated again, they
     would fault their pages in every time, or not, as glibc's dynamic mmap and
-    trim thresholds happen to stand."""
-    buffers = {}
+    trim thresholds happen to stand. widths maps a name to the most floats per
+    shot that any array in it holds: that buffer is first allocated at this width
+    for the request's shot count (its last axis), so it does not grow while an
+    array in its old memory is still alive."""
+    buffers, widths = {}, widths or {}
 
     def scratch(name, shape: tuple[int, ...], dtype=float) -> np.ndarray:
         dtype = np.dtype(dtype)
         size = math.prod(shape) * dtype.itemsize
         if name not in buffers or buffers[name].size < size:
-            buffers[name] = np.empty(size, dtype=np.uint8)
+            buffers[name] = np.empty(max(size, widths.get(name, 0) * shape[-1] * 8),
+                                     dtype=np.uint8)
         return buffers[name][:size].view(dtype).reshape(shape)
 
     return scratch
@@ -239,9 +244,52 @@ def _first_reaching(cum: np.ndarray, u: np.ndarray, out: np.ndarray,
     return np.minimum(out, cum.shape[0] - 1, out=out)
 
 
-def _half_turn(x: np.ndarray) -> np.ndarray:
-    """e^{i theta/2} from x = cos(theta), theta in [0, pi], by two square roots."""
-    return np.sqrt((1.0 + x) / 2.0) + 1j * np.sqrt((1.0 - x) / 2.0)
+def _half_turn(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """e^{i theta/2} = sqrt((1+x)/2) + i sqrt((1-x)/2) from x = cos(theta), theta in
+    [0, pi], by two square roots; written into out, a complex array of x's shape,
+    when one is given. Returns out."""
+    if out is None:
+        out = np.empty(np.shape(x), dtype=complex)
+    np.add(1.0, x, out=out.real)
+    np.subtract(1.0, x, out=out.imag)
+    parts = out.view(float)  # both halves at once, in contiguous memory
+    parts /= 2.0
+    np.sqrt(parts, out=parts)
+    return out
+
+
+def _sine(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """sin(theta) = sqrt((1 - x)(1 + x)) from x = cos(theta), theta in [0, pi], written
+    into out, with work, of x's shape, as scratch: within an ulp of the true value
+    wherever 1 - x and 1 + x are exact, as they are for every drawn x. Returns out."""
+    np.subtract(1.0, x, out=out)
+    out *= np.add(1.0, x, out=work)
+    return np.sqrt(out, out=out)
+
+
+def _abs_square(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|z|^2 = re^2 + im^2, bit for bit, of a C-contiguous complex array z, written
+    into the float array out: z's float view is squared in place, so z is
+    overwritten, and its real and imaginary halves added. Returns out."""
+    pairs = z.view(float).reshape(z.shape + (2,))
+    np.square(pairs, out=pairs)
+    return np.add(pairs[..., 0], pairs[..., 1], out=out)
+
+
+def _chebyshev_rows(x: np.ndarray, degree: int, out: np.ndarray) -> np.ndarray:
+    """chebyshev.chebvander(x, degree).T, bit for bit, for degree >= 1, written into
+    out of shape (degree + 1, x.size) by chebvander's own recurrence: with y = x + 0,
+    T_0 = y 0 + 1, T_1 = y and T_k = T_{k-1} (2 y) - T_{k-2}. Returns out."""
+    y = np.add(x, 0.0, out=out[1])
+    np.multiply(y, 0.0, out=out[0])
+    out[0] += 1.0
+    if degree > 1:
+        # 2 y waits in the last row, which the recurrence writes last
+        two_y = np.multiply(y, 2.0, out=out[-1])
+        for k in range(2, degree + 1):
+            np.multiply(out[k - 1], two_y, out=out[k])
+            out[k] -= out[k - 2]
+    return out
 
 
 def _generic_sampler(code: MultiRepState, p: FinitePovm):
@@ -257,20 +305,23 @@ def _generic_sampler(code: MultiRepState, p: FinitePovm):
     table, blocks = _tower_kernel(code)
     bras = p.states.conj() * np.repeat(code.coeffs, [s.twice + 1 for s in code.spins])
     weights = p.weights[:, None]
-    scratch = _scratch()
+    harmonics, nslots, nbras = code.nspins // 2 + 1, code.nspins + 1, bras.shape[0]
+    scratch = _scratch({0: code.dim, 1: max(2 * harmonics, 2 * code.dim, nbras),
+                        2: max(2 * nslots, 2 * nbras)})
 
     def draw(x: np.ndarray, turn: np.ndarray, u: np.ndarray) -> np.ndarray:
         shots = x.size
-        # the (rows, shots) arrays alternate between buffers 0 and 1
-        d = np.matmul(table, _half_angle_terms(_half_turn(x), code.nspins),
-                      out=scratch(0, (code.dim, shots)))                  # (D, shots)
-        phases = _powers(1.0, turn, code.nspins + 1)
+        # the (rows, shots) arrays take turns in buffers 0, 1 and 2
+        terms = _half_angle_terms(_half_turn(x, scratch(0, (shots,), complex)), code.nspins,
+                                  scratch(2, (2 * harmonics, shots)),
+                                  scratch(1, (harmonics, shots), complex))
+        d = np.matmul(table, terms, out=scratch(0, (code.dim, shots)))  # (D, shots)
+        phases = _powers(1.0, turn, nslots, out=scratch(2, (nslots, shots), complex))
         amp = scratch(1, (code.dim, shots), complex)
         for rows, slots in blocks:
             np.multiply(d[rows], phases[slots], out=amp[rows])
-        overlaps = np.matmul(bras, amp, out=scratch(0, (bras.shape[0], shots), complex))
-        probs = np.square(overlaps.real, out=scratch(1, overlaps.shape))  # (K, shots)
-        probs += np.square(overlaps.imag, out=overlaps.imag)
+        overlaps = np.matmul(bras, amp, out=scratch(2, (nbras, shots), complex))
+        probs = _abs_square(overlaps, out=scratch(1, overlaps.shape))  # (K, shots)
         probs *= weights
         _check_total(np.sum(probs, axis=0, out=scratch("total", (shots,))))
         return _first_reaching(_running_sum(probs), u, scratch("pick", (shots,), np.intp),
@@ -326,12 +377,13 @@ def _ring_sampler(code: MultiRepState, p: RingPovm):
         return ((size * ring_weights)[:, None] * summed).T
 
     coef = chebyshev.chebinterpolate(ring_probabilities, code.nspins).T  # (T, N + 1)
-    scratch = _scratch()
+    harmonics = code.nspins // 2 + 1
+    scratch = _scratch({0: max(nrings, 2 * nslots, size), 1: max(nrings, 2 * nslots, 2 * size)})
 
     def draw(x: np.ndarray, turn: np.ndarray, u: np.ndarray) -> np.ndarray:
         shots = x.size
         # the (rows, shots) arrays alternate between buffers 0 and 1
-        fitted = np.matmul(coef, chebyshev.chebvander(x, code.nspins).T,
+        fitted = np.matmul(coef, _chebyshev_rows(x, code.nspins, scratch(1, (nslots, shots))),
                            out=scratch(0, (nrings, shots)))             # (T, shots)
         cum = scratch(1, fitted.shape)
         cum[...] = fitted
@@ -347,21 +399,23 @@ def _ring_sampler(code: MultiRepState, p: RingPovm):
         own = np.take(fitted, at, out=scratch("own", (shots,)))
         base = np.take(cum, at, out=scratch("base", (shots,)))
         base -= own
-        terms = _half_angle_terms(_half_turn(np.take(x, order, out=scratch("x", (shots,)))),
-                                  code.nspins)
-        parts = scratch(0, (2 * nslots, shots))
+        # e^{i theta/2} is read only while its powers form, so the harmonics may overwrite it
+        half = _half_turn(np.take(x, order, out=scratch("x", (shots,))),
+                          scratch(0, (shots,), complex))
+        terms = _half_angle_terms(half, code.nspins, scratch(0, (2 * harmonics, shots)),
+                                  scratch(1, (harmonics, shots), complex))
+        parts = scratch(1, (2 * nslots, shots))
         lo = 0
         for j, hi in enumerate(np.cumsum(np.bincount(ring, minlength=nrings))):
             np.matmul(fold[j], terms[:, lo:hi], out=parts[:, lo:hi])
             lo = hi
-        del terms  # before the phases, the largest temporary
-        g = scratch(1, (nslots, shots), complex)                         # g_jm e^{i j phi}
+        g = scratch(0, (nslots, shots), complex)                         # g_jm e^{i j phi}
         g.real = parts[:nslots]
         g.imag = parts[nslots:]
-        g *= _powers(1.0, np.take(turn, order, out=scratch("turn", (shots,), complex)), nslots)
-        overlaps = np.matmul(to_ring, g, out=scratch(0, (size, shots), complex))
-        probs = np.square(overlaps.real, out=scratch(1, overlaps.shape))  # (P, shots)
-        probs += np.square(overlaps.imag, out=overlaps.imag)
+        g *= _powers(1.0, np.take(turn, order, out=scratch("turn", (shots,), complex)), nslots,
+                     out=scratch(1, (nslots, shots), complex))
+        overlaps = np.matmul(to_ring, g, out=scratch(1, (size, shots), complex))
+        probs = _abs_square(overlaps, out=scratch(0, overlaps.shape))  # (P, shots)
         probs *= np.take(ring_weights, ring, out=scratch("weight", (shots,)))
         gap = np.sum(probs, axis=0, out=scratch("gap", (shots,)))
         gap -= own
@@ -420,8 +474,9 @@ def simulate(code: MultiRepState, p: FinitePovm | RingPovm, shots: int,
     Fourier tables (:func:`spinlab.su2._d_fourier`) times cos and sin of
     k theta/2 and the phases e^{-i m phi}, both as powers
     (:func:`spinlab.su2._powers`) of e^{i theta/2} = sqrt((1+x)/2) +
-    i sqrt((1-x)/2) at the drawn x = cos(theta) and of e^{i phi}, so the
-    draw calls no trigonometric function of theta:
+    i sqrt((1-x)/2) at the drawn x = cos(theta) and of e^{i phi}. The score
+    takes cos(theta) as x itself and sin(theta) as sqrt((1-x)(1+x)), so
+    neither the draw nor the score calls a trigonometric function of theta:
 
     * Ring path (:func:`_ring_sampler`), for a :class:`RingPovm` on the
       code's own tower (sn, N): (N + 1) T operations for the ring, one
@@ -433,16 +488,17 @@ def simulate(code: MultiRepState, p: FinitePovm | RingPovm, shots: int,
 
     Both paths pick the same outcome except when u lies within rounding
     (about 1e-16) of a cumulative boundary. On one 2 MB-L2 Xeon core with
-    one BLAS thread a call costs about 0.3 us per shot for the octahedron,
-    0.9 us for the N = 12 grid and 3 us at N = 40, draws and score included.
+    one BLAS thread a call costs about 0.15 us per shot for the octahedron,
+    0.5 us for the N = 12 grid and 1.8 us at N = 40, draws and score included.
 
     The working set is fixed per call. A sub-block of ``_BUDGET`` //
     footprint shots reads its cos(theta), phi and u from copies of the bit
     generator advanced to their offsets in the chunk (PCG64 spends one output
     per double, so the values are those of whole-chunk draws), then draws and
-    scores in buffers kept for the call. Only the score vector has one entry
-    per shot of a chunk (1 MB), so a call's allocations peak near 5.2 MiB for
-    the octahedron and 4.3 MiB for the N = 12 grid, at any shot count.
+    scores in buffers kept for the call, which hold the half-angle harmonics,
+    phases and Chebyshev rows too. Only the score vector has one entry per
+    shot of a chunk (1 MB), so a call's allocations peak near 4.5 MiB for the
+    octahedron and 3.0 MiB for the N = 12 grid, at any shot count.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -480,26 +536,24 @@ def simulate(code: MultiRepState, p: FinitePovm | RingPovm, shots: int,
             ph = ph_draws.random(out=scratch("ph", (m,)))
             ph *= 2.0 * math.pi
             u = u_draws.random(out=scratch("u", (m,)))
-            # cos(phi) and sin(phi) serve both the draw and the score
-            cos_ph = np.cos(ph, out=scratch("cos_ph", (m,)))
-            sin_ph = np.sin(ph, out=scratch("sin_ph", (m,)))
+            # e^{i phi} serves both the draw and the score; cos(phi) passes through
+            # the guess buffer, which the score takes only later
             turn = scratch("turn", (m,), complex)
-            turn.real = cos_ph
-            turn.imag = sin_ph
+            guess = scratch("guess", (m,))
+            turn.real = np.cos(ph, out=guess)
+            turn.imag = np.sin(ph, out=ph)
             idx = draw(x, turn, u)
             # the score's unit vector (sin th cos ph, sin th sin ph, cos th) dotted with
-            # the guess term by term, as (1 + (x + y + z)) / 2; x, phi and u are dead,
-            # so their buffers take theta, sin(theta) and cos(theta)
-            th = np.arccos(x, out=x)
-            st = np.sin(th, out=ph)
-            guess = scratch("guess", (m,))
-            acc = np.multiply(st, cos_ph, out=cos_ph)
+            # the guess term by term, as (1 + (x + y + z)) / 2, where cos(theta) is the
+            # drawn x itself; phi and u are dead, so their buffers take sin(theta) and
+            # the terms
+            st = _sine(x, out=ph, work=u)
+            acc = np.multiply(st, turn.real, out=u)
             acc *= np.take(gx, idx, out=guess)
-            term = np.multiply(st, sin_ph, out=sin_ph)
+            term = np.multiply(st, turn.imag, out=st)
             term *= np.take(gy, idx, out=guess)
             acc += term
-            term = np.cos(th, out=u)
-            term *= np.take(gz, idx, out=guess)
+            term = np.multiply(x, np.take(gz, idx, out=guess), out=ph)
             acc += term
             part = np.add(acc, 1.0, out=score[lo:lo + m])
             part /= 2.0

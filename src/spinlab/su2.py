@@ -254,16 +254,19 @@ def _d_fourier(twice: int, twice_mp: int) -> np.ndarray:
     return table
 
 
-def _powers(first, step, count: int) -> np.ndarray:
-    """first * step**k for k < count, shape (count,) + shape(step), by repeated multiplication."""
-    out = np.empty((count,) + np.shape(step), dtype=complex)
+def _powers(first, step, count: int, out: np.ndarray | None = None) -> np.ndarray:
+    """first * step**k for k < count, shape (count,) + shape(step), by repeated multiplication;
+    written into out, a complex array of that shape, when one is given."""
+    if out is None:
+        out = np.empty((count,) + np.shape(step), dtype=complex)
     out[0] = first
     for k in range(1, count):
         np.multiply(out[k - 1], step, out=out[k, ...])  # [k, ...]: a view for scalar steps too
     return out
 
 
-def _half_angle_terms(half, twice: int) -> np.ndarray:
+def _half_angle_terms(half, twice: int, out: np.ndarray | None = None,
+                      powers: np.ndarray | None = None) -> np.ndarray:
     """The harmonics of :func:`_d_fourier` for spins up to twice/2 at half = e^{i theta/2}.
 
     Returns shape (2n,) + shape(half), n = twice // 2 + 1: cos(k theta/2), then
@@ -272,10 +275,20 @@ def _half_angle_terms(half, twice: int) -> np.ndarray:
     the first columns of each half. Pass exp(0.5j theta), which keeps full relative
     precision near theta = 0, or sqrt((1+x)/2) + i sqrt((1-x)/2) from x = cos(theta),
     with no trig call. The tests hold the terms to 1e-13 of the trig form for
-    twice <= 401.
+    twice <= 401. Given out, a float array of the result's shape, and powers, a
+    complex one of shape (n,) + shape(half), the terms go into out and the powers
+    into powers, with the same bits as the allocating form; half is read only
+    before out is written, so it may share out's memory.
     """
-    z = _powers(half if twice % 2 else 1.0, half * half, twice // 2 + 1)
-    return np.concatenate([z.real, z.imag])
+    n = twice // 2 + 1
+    if out is None:
+        z = _powers(half if twice % 2 else 1.0, half * half, n)
+        return np.concatenate([z.real, z.imag])
+    # the step e^{i theta} waits in the last row, which the recurrence writes last
+    z = _powers(half if twice % 2 else 1.0, np.multiply(half, half, out=powers[-1]), n, out=powers)
+    out[:n] = z.real
+    out[n:] = z.imag
+    return out
 
 
 def wigner_small_d(s, m, mp, theta):

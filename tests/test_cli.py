@@ -184,6 +184,9 @@ def test_simulate_octahedron_row(capsys):
      "-0.956113145047502"),
     ("--n 2 --povm octahedron --shots 1000000 --seed 7",
      "2,octahedron,1000000,7,0.799855183927221,0.000163241168169773,0.8,-0.887129603411193"),
+    ("--n 2 --shots 20000 --seed 5",
+     "2,grid,20000,5,0.788476790254653,0.00128318558000118,0.788675134594825,"
+     "-0.154571827538256"),
     ("--n 40 --shots 20000 --seed 3",
      "40,grid,20000,3,0.996850814143281,5.87318804202078e-05,0.996876085310183,"
      "-0.430280228062791"),

@@ -201,6 +201,34 @@ def test_powers_are_repeated_products():
     assert su2._powers(1.0, 1j, 5).tolist() == [1, 1j, -1, -1j, 1]
 
 
+def _same_bits(a, b):
+    """Equal shape, dtype and bytes, so NaN payloads and signed zeros count too."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("twice", [0, 1, 2, 3, 4, 5, 12, 13, 40, 41, 128, 129, 256, 257])
+def test_buffered_half_angle_terms_match_allocating_form(twice):
+    # the samplers' kept buffers hold stale values, so start from NaN; the half
+    # turn may sit in the terms' own memory, which they overwrite
+    rng = np.random.default_rng(twice)
+    x = np.concatenate([[-1.0, 1.0, 0.0, -0.0], 2.0 * rng.random(509) - 1.0])
+    half = povm._half_turn(x)
+    n = twice // 2 + 1
+    want = su2._half_angle_terms(half, twice)
+    powers = np.full((n, x.size), math.nan, dtype=complex)
+    out = np.full((2 * n, x.size), math.nan)
+    assert su2._half_angle_terms(half, twice, out, powers) is out
+    assert _same_bits(out, want)
+    assert _same_bits(powers, su2._powers(half if twice % 2 else 1.0, half * half, n))
+    shared = np.full((2 * n, x.size), math.nan)
+    alias = shared[:2].reshape(-1).view(complex)
+    alias[...] = half
+    assert _same_bits(su2._half_angle_terms(alias, twice, shared, powers), want)
+    phases = np.full((twice + 1, x.size), math.nan, dtype=complex)
+    assert su2._powers(1.0, half, twice + 1, out=phases) is phases
+    assert _same_bits(phases, su2._powers(1.0, half, twice + 1))
+
+
 def half_angle_trig(theta, twice):
     """The trigonometric form of the half-angle harmonics, one cos and one sin
     call per harmonic and angle: cos(k theta/2), then sin(k theta/2), for
