@@ -212,15 +212,16 @@ def _scratch(widths: dict | None = None):
     trim thresholds happen to stand. widths maps a name to the most floats per
     shot that any array in it holds: that buffer is first allocated at this width
     for the request's shot count (its last axis), so it does not grow while an
-    array in its old memory is still alive."""
+    array in its old memory is still alive, and a wider array fails an assertion."""
     buffers, widths = {}, widths or {}
 
     def scratch(name, shape: tuple[int, ...], dtype=float) -> np.ndarray:
         dtype = np.dtype(dtype)
         size = math.prod(shape) * dtype.itemsize
+        width = widths.get(name, 0) * shape[-1] * 8
+        assert name not in widths or size <= width, f"buffer {name!r} is too narrow for {shape}"
         if name not in buffers or buffers[name].size < size:
-            buffers[name] = np.empty(max(size, widths.get(name, 0) * shape[-1] * 8),
-                                     dtype=np.uint8)
+            buffers[name] = np.empty(max(size, width), dtype=np.uint8)
         return buffers[name][:size].view(dtype).reshape(shape)
 
     return scratch

@@ -277,15 +277,14 @@ def _half_angle_terms(half, twice: int, out: np.ndarray | None = None,
     with no trig call. The tests hold the terms to 1e-13 of the trig form for
     twice <= 401. Given out, a float array of the result's shape, and powers, a
     complex one of shape (n,) + shape(half), the terms go into out and the powers
-    into powers, with the same bits as the allocating form; half is read only
-    before out is written, so it may share out's memory.
+    into powers; otherwise both are allocated. half is read only before out is
+    written, so it may share out's memory.
     """
     n = twice // 2 + 1
     if out is None:
-        z = _powers(half if twice % 2 else 1.0, half * half, n)
-        return np.concatenate([z.real, z.imag])
-    # the step e^{i theta} waits in the last row, which the recurrence writes last
-    z = _powers(half if twice % 2 else 1.0, np.multiply(half, half, out=powers[-1]), n, out=powers)
+        out = np.empty((2 * n,) + np.shape(half))
+        powers = np.empty((n,) + np.shape(half), dtype=complex)
+    z = _powers(half if twice % 2 else 1.0, half * half, n, out=powers)
     out[:n] = z.real
     out[n:] = z.imag
     return out

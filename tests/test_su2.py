@@ -207,19 +207,25 @@ def _same_bits(a, b):
 
 
 @pytest.mark.parametrize("twice", [0, 1, 2, 3, 4, 5, 12, 13, 40, 41, 128, 129, 256, 257])
-def test_buffered_half_angle_terms_match_allocating_form(twice):
+def test_half_angle_terms_match_concatenated_powers(twice):
     # the samplers' kept buffers hold stale values, so start from NaN; the half
     # turn may sit in the terms' own memory, which they overwrite
     rng = np.random.default_rng(twice)
     x = np.concatenate([[-1.0, 1.0, 0.0, -0.0], 2.0 * rng.random(509) - 1.0])
     half = povm._half_turn(x)
     n = twice // 2 + 1
-    want = su2._half_angle_terms(half, twice)
+    z = su2._powers(half if twice % 2 else 1.0, half * half, n)
+    want = np.concatenate([z.real, z.imag])
+    assert _same_bits(su2._half_angle_terms(half, twice), want)
     powers = np.full((n, x.size), math.nan, dtype=complex)
     out = np.full((2 * n, x.size), math.nan)
     assert su2._half_angle_terms(half, twice, out, powers) is out
     assert _same_bits(out, want)
-    assert _same_bits(powers, su2._powers(half if twice % 2 else 1.0, half * half, n))
+    assert _same_bits(powers, z)
+    # a scalar half, as rotate_to passes: numpy's scalar product, not the array loop
+    one = half[7]
+    z = su2._powers(one if twice % 2 else 1.0, one * one, n)
+    assert _same_bits(su2._half_angle_terms(one, twice), np.concatenate([z.real, z.imag]))
     shared = np.full((2 * n, x.size), math.nan)
     alias = shared[:2].reshape(-1).view(complex)
     alias[...] = half
