@@ -42,14 +42,8 @@ class MultiRepState:
     def __post_init__(self):
         sn = HalfInt.of(self.sn)
         object.__setattr__(self, "sn", sn)
-        if self.nspins < 1:
-            raise ValueError("nspins must be >= 1")
-        if sn.twice < 0 or sn.twice > self.nspins:
-            raise ValueError("sn must lie between 0 and N/2")
-        if (self.nspins - sn.twice) % 2 != 0:
-            raise ValueError("sn must differ from N/2 by an integer")
+        blocks = len(_block_twices(sn, self.nspins))
         coeffs = np.asarray(self.coeffs, dtype=complex)
-        blocks = (self.nspins - sn.twice) // 2 + 1
         if coeffs.shape != (blocks,):
             raise ValueError(f"need {blocks} coefficients for N={self.nspins}, sn={sn!r}")
         if not abs(np.linalg.norm(coeffs) - 1.0) <= 1e-12:
@@ -59,11 +53,26 @@ class MultiRepState:
     @property
     def spins(self) -> list[HalfInt]:
         """Block spins in descending order, N/2 down to sn."""
-        return [HalfInt(self.nspins - 2 * i) for i in range(self.coeffs.size)]
+        return [HalfInt(twice) for twice in _block_twices(self.sn, self.nspins)]
 
     @property
     def dim(self) -> int:
         return _tower_dim(self.sn, self.nspins)
+
+
+def _block_twices(sn: HalfInt, nspins: int) -> range:
+    """2S of each block of the tower (sn, N), descending: N, N - 2, ..., 2 sn.
+
+    Raises ValueError unless N is an integer >= 1 and sn lies between 0 and
+    N/2 and differs from N/2 by an integer.
+    """
+    if not isinstance(nspins, (int, np.integer)):
+        raise ValueError(f"nspins must be an integer, not {nspins!r}")
+    if nspins < 1:
+        raise ValueError("nspins must be >= 1")
+    if sn.twice < 0 or sn.twice > nspins or (nspins - sn.twice) % 2 != 0:
+        raise ValueError(f"sn={sn!r} is incompatible with N={nspins}")
+    return range(nspins, sn.twice - 1, -2)
 
 
 def _tower_dim(sn: HalfInt, nspins: int) -> int:
@@ -199,7 +208,7 @@ def _axial_coefficients(sn: HalfInt, nspins: int, products: np.ndarray) -> np.nd
     harmonics of the top block's and the tower sums into one series.
     """
     coef = np.zeros((products.shape[0], nspins // 2 + 1), dtype=complex)
-    for i, twice in enumerate(range(nspins, sn.twice - 1, -2)):
+    for i, twice in enumerate(_block_twices(sn, nspins)):
         c = _d_diagonal_cosines(twice, sn.twice)
         coef[:, :c.size] += products[:, i, None] * c
     return coef
@@ -256,12 +265,7 @@ def alpha_state(f: AlphaFamily, n: Direction) -> np.ndarray:
 
 def decoder_coefficients(sn, nspins: int) -> np.ndarray:
     """Block weights b_S = sqrt((2S+1)/D) of the covariant decoder."""
-    sn = HalfInt.of(sn)
-    if nspins < 1:
-        raise ValueError("nspins must be >= 1")
-    if sn.twice < 0 or sn.twice > nspins or (nspins - sn.twice) % 2 != 0:
-        raise ValueError(f"sn={sn!r} is incompatible with N={nspins}")
-    dims = np.array([tw + 1 for tw in range(nspins, sn.twice - 1, -2)], dtype=float)
+    dims = np.array([twice + 1 for twice in _block_twices(HalfInt.of(sn), nspins)], dtype=float)
     return np.sqrt(dims / dims.sum())
 
 
@@ -308,7 +312,7 @@ def _exact_size(nspins: int) -> int:
 
 def _tower_projections(sn: HalfInt, nspins: int) -> np.ndarray:
     """Projection m of each component of the tower (sn, N), in component order."""
-    return np.concatenate([_projection_values(HalfInt(t)) for t in range(nspins, sn.twice - 1, -2)])
+    return np.concatenate([_projection_values(HalfInt(t)) for t in _block_twices(sn, nspins)])
 
 
 def _tower_phases(sn: HalfInt, nspins: int, count: int) -> np.ndarray:

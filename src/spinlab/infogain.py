@@ -65,17 +65,14 @@ def info_gain_quadrature(code: MultiRepState, decoder: MultiRepState | None = No
 @lru_cache(maxsize=16)
 def _fit_tables(blocks: int, twice_sn: int) -> tuple[np.ndarray, np.ndarray]:
     """The B x B tables that sample and fit r: P^(0,2sn)_{S-sn} at the B Chebyshev nodes
-    (row per block, S descending) and the transposed Chebyshev-Vandermonde matrix of
-    those nodes, as ``chebinterpolate`` builds it; frozen and shared. With b = 2sn, P_0 = 1,
-    P_1 = ((b+2) x - b)/2 and 2n (n+b) (2n+b-2) P_n = (2n+b-1) ((2n+b)(2n+b-2) x - b^2)
-    P_{n-1} - 2 (n-1) (n+b-1) (2n+b) P_{n-2}."""
-    nodes, b = chebyshev.chebpts1(blocks), twice_sn
-    rows = [np.ones(blocks), ((b + 2) * nodes - b) / 2.0]
-    for n in range(2, blocks):
-        c = 2 * n + b
-        rows.append(((c - 1) * (c * (c - 2) * nodes - b * b) * rows[-1]
-                     - 2 * (n - 1) * (n + b - 1) * c * rows[-2]) / (2 * n * (n + b) * (c - 2)))
-    jacobi = np.array(rows[blocks - 1::-1])
+    (row per block, S descending), by the recurrence of :func:`spinlab.numerics._three_terms`,
+    and the transposed Chebyshev-Vandermonde matrix of those nodes, as ``chebinterpolate``
+    builds it; frozen and shared."""
+    nodes = chebyshev.chebpts1(blocks)
+    rows = [np.zeros(blocks), np.ones(blocks)]  # P_{-1} = 0 and P_0 = 1
+    for a, b, c in numerics._three_terms(twice_sn, blocks - 1):
+        rows.append((a * nodes + b) * rows[-1] - c * rows[-2])
+    jacobi = np.array(rows[:0:-1])
     vander = chebyshev.chebvander(nodes, blocks - 1).T
     for table in (jacobi, vander):
         table.setflags(write=False)

@@ -115,12 +115,21 @@ def gauss_legendre(order: int) -> Quadrature1D:
     return _gauss_legendre_cached(order)
 
 
-def _three_terms(kind: str, l: int) -> list[tuple[float, float, float]]:
-    """Coefficients (a, b, c) of p_k = (a x + b) p_{k-1} - c p_{k-2}, k = 1, ..., l."""
-    if kind == "legendre":
-        return [((2 * k - 1) / k, 0.0, (k - 1) / k) for k in range(1, l + 1)]
-    return [((2 * k + 1) * (2 * k - 1) / den, -1.0 / den, (k - 1) * (2 * k + 1) / den)
-            for k in range(1, l + 1) for den in [(k + 1) * (2 * k - 1)]]
+def _three_terms(b: int, l: int) -> list[tuple[float, float, float]]:
+    """Coefficients of P_k = (a_k x + b_k) P_{k-1} - c_k P_{k-2}, k = 1, ..., l, for the
+    Jacobi family P^(0,b) (weight (1 + x)^b; b = 0 is Legendre), P_0 = 1.
+
+    From 2k (k+b) (2k+b-2) P_k = (2k+b-1) ((2k+b)(2k+b-2) x - b^2) P_{k-1}
+    - 2 (k-1) (k+b-1) (2k+b) P_{k-2}, each coefficient one rounding of an exact
+    integer ratio, common factors cancelled; k = 1 is P_1 = ((b+2) x - b)/2,
+    where that formula divides by zero at b = 0.
+    """
+    terms = [((b + 2) / 2, -b / 2, 0.0)][:l]
+    for k in range(2, l + 1):
+        c, kb = 2 * k + b, k * (k + b)
+        terms.append((c * (c - 1) / (2 * kb), -(c - 1) * b * b / (2 * kb * (c - 2)),
+                      (k - 1) * (k + b - 1) * c / (kb * (c - 2))))
+    return terms
 
 
 def _eval_with_derivative(terms, x):
@@ -132,13 +141,25 @@ def _eval_with_derivative(terms, x):
     d_prev, d = zero, zero
     for a, b, c in terms:
         slope = a * x + b
-        p, p_prev, d, d_prev = (slope * p - c * p_prev, p,
-                                a * p + slope * d - c * d_prev, d)
+        # pairs, not one four-tuple: CPython swaps a pair without building a tuple
+        d, d_prev = a * p + slope * d - c * d_prev, d
+        p, p_prev = slope * p - c * p_prev, p
     return p, d
 
 
+def _family(kind: str, l: int) -> int:
+    """b of the Jacobi family P^(0,b) that kind names, 0 for 'legendre' and 1 for
+    'jacobi01'; raises ValueError unless kind is one of them and the degree l >= 1."""
+    if kind not in ("legendre", "jacobi01"):
+        raise ValueError(f"unknown polynomial family: {kind!r}")
+    if l < 1:
+        raise ValueError("degree must be >= 1")
+    return ("legendre", "jacobi01").index(kind)
+
+
 def largest_zero(kind: str, l: int) -> float:
-    """Greatest root in (-1, 1) of P_l ('legendre') or the (0,1) Jacobi family.
+    """Greatest root in (-1, 1) of P_l ('legendre') or the (0,1) Jacobi family
+    ('jacobi01'), both evaluated by the P^(0,b) recurrence of :func:`_three_terms`.
 
     Newton iteration from x = 1: both families are positive, increasing, and
     convex to the right of their last zero, so the iterates descend
@@ -146,11 +167,7 @@ def largest_zero(kind: str, l: int) -> float:
     sign and bounce the iterate by a fraction of an ulp; the step-size stop
     and the two-cycle check absorb that.
     """
-    if kind not in ("legendre", "jacobi01"):
-        raise ValueError(f"unknown polynomial family: {kind!r}")
-    if l < 1:
-        raise ValueError("degree must be >= 1")
-    terms = _three_terms(kind, l)  # once, not once per Newton step
+    terms = _three_terms(_family(kind, l), l)  # once, not once per Newton step
     x = 1.0
     x_older = math.inf
     for _ in range(200):
@@ -175,7 +192,7 @@ def _largest_zeros(kinds, degrees) -> np.ndarray:
     bit for bit.
 
     One Newton iteration runs for the whole table. Each family's recurrence
-    coefficients come from one :func:`_three_terms` list up to its highest
+    coefficients come from one :func:`_three_terms` list up to the highest
     degree; past an element's own degree its steps are (a, b, c) = (0, 1, 0),
     which leave p and p' exactly as they are. Each element stops by the rules
     of :func:`largest_zero`, and only the elements still iterating are
@@ -184,18 +201,14 @@ def _largest_zeros(kinds, degrees) -> np.ndarray:
     kinds, degrees = list(kinds), np.asarray(degrees, dtype=int)
     if degrees.shape != (len(kinds),):
         raise ValueError("need one degree per polynomial family")
-    for kind, l in zip(kinds, degrees.tolist()):
-        if kind not in ("legendre", "jacobi01"):
-            raise ValueError(f"unknown polynomial family: {kind!r}")
-        if l < 1:
-            raise ValueError("degree must be >= 1")
+    bs = [_family(kind, l) for kind, l in zip(kinds, degrees.tolist())]
     if not kinds:
         return np.empty(0)
-    families = sorted(set(kinds))
+    families = sorted(set(bs))
     top = int(degrees.max())
     # a, b, c by step and family, then by step and live element (contiguous rows)
-    table = np.array([_three_terms(kind, top) for kind in families]).transpose(2, 1, 0).copy()
-    coef = table.take([families.index(kind) for kind in kinds], axis=2)
+    table = np.array([_three_terms(b, top) for b in families]).transpose(2, 1, 0).copy()
+    coef = table.take([families.index(b) for b in bs], axis=2)
     np.copyto(coef, np.array([0.0, 1.0, 0.0])[:, None, None],
               where=np.arange(1, top + 1)[:, None] > degrees)  # past each degree
     zeros = np.empty(degrees.size)

@@ -49,7 +49,7 @@ class HalfInt:
         if isinstance(value, HalfInt):
             return value
         twice = 2 * value
-        if twice != int(twice):
+        if not abs(twice) < math.inf or twice != int(twice):  # int() fails on inf and nan
             raise ValueError(f"{value!r} is not a half-integer")
         return cls(int(twice))
 

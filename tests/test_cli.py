@@ -1,5 +1,6 @@
 """End-to-end command-line behavior through the in-process entry point."""
 
+import hashlib
 import json
 import math
 import os
@@ -349,6 +350,20 @@ def test_asymptotic_output(capsys):
     for parity in (0, 1):
         deficits = [float(r["scaled_deficit"]) for r in rows if int(r["n"]) % 2 == parity]
         assert all(b > a for a, b in zip(deficits, deficits[1:]))
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["table", "--max-n", "1000"],
+     "800dbfd48266ee7c6e6158307ced8228965b0c8dca9393704fb229a0c1fcef19"),
+    (["asymptotic", "--max-n", "1000"],
+     "7e9585cfd940e95b81fa4318fb6e0934c6a39edb8f7efa7a8fd0fdd5e40d29c4"),
+])
+def test_large_n_scan_bytes_are_pinned(argv, digest, capsys):
+    # every digit comes from Python floats and numpy's elementwise arithmetic (the
+    # polynomial route's batched Newton), so no BLAS or LAPACK build moves it
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv", [

@@ -116,6 +116,16 @@ def test_decoder_coefficients_validation():
         decoder_coefficients(HalfInt(0), 0)
 
 
+def test_non_integer_spin_count_is_refused():
+    # the tower check refuses a float N before range() or HalfInt sees it
+    with pytest.raises(ValueError, match="nspins must be an integer"):
+        MultiRepState(0, 2.0, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="nspins must be an integer"):
+        decoder_coefficients(0, 2.0)
+    with pytest.raises(ValueError, match="nspins must be an integer"):
+        povm.quadrature_povm(0, 2.0)
+
+
 def test_decoder_state_is_weighted_tower():
     m = Direction(0.8, 5.5)
     got = decoder_state(HalfInt(0), 2, m)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
@@ -34,11 +35,33 @@ def test_fit_table_jacobi_rows_match_scipy(twice_sn):
         assert not jacobi.flags.writeable and not vander.flags.writeable
 
 
+def mpmath_jacobi_rows(blocks, twice_sn):
+    """P^(0,2sn)_{B-1}, ..., P_0 at the B Chebyshev nodes by the three-term recurrence
+    in 50-digit arithmetic, rounded to float at the end."""
+    b = twice_sn
+    with mpmath.workdps(50):
+        x = np.array([mpmath.mpf(float(v)) for v in chebyshev.chebpts1(blocks)], dtype=object)
+        rows = [np.full(blocks, mpmath.mpf(1), dtype=object), ((b + 2) * x - b) / 2]
+        for n in range(2, blocks):
+            c = 2 * n + b
+            rows.append(((c - 1) * (c * (c - 2) * x - b * b) * rows[-1]
+                         - 2 * (n - 1) * (n + b - 1) * c * rows[-2]) / (2 * n * (n + b) * (c - 2)))
+        return np.array(rows[blocks - 1::-1], dtype=float)
+
+
+@pytest.mark.parametrize("blocks,twice_sn", [(501, 0), (501, 1), (201, 40)])
+def test_fit_table_rows_match_high_precision_recurrence(blocks, twice_sn):
+    # error per entry, scaled by max(|P|, 1): 1.2e-13, 6.8e-12 and 4.0e-12 measured
+    want = mpmath_jacobi_rows(blocks, twice_sn)
+    err = np.abs(_fit_tables(blocks, twice_sn)[0] - want) / np.maximum(np.abs(want), 1.0)
+    assert np.max(err) < 1e-11
+
+
 @pytest.mark.parametrize("nspins", [200, 1000])
 def test_large_n_gain_within_tolerance_of_scipy_jacobi_rows(nspins, monkeypatch):
     # the gain's tolerance past the closed forms: the fit amplifies the rows'
     # rounding, and scipy's rows (off by up to 2.2e-12 at B = 501) move the
-    # optimal code's gain by 132 ulp at N = 200 and 4.2e-12 at N = 1000
+    # optimal code's gain by 55 ulp at N = 200 and 2.0e-11 at N = 1000
     _, code = max_fidelity_rotation(nspins)
     got = info_gain_quadrature(code)
 

@@ -83,32 +83,50 @@ def test_quadrature1d_validation():
             Quadrature1D(nodes, weights)
 
 
-def recursion_value(kind, l, x):
-    """The family's value at x from the three-term recursion behind largest_zero."""
-    return numerics._eval_with_derivative(numerics._three_terms(kind, l), x)[0]
+def recursion_value(b, l, x):
+    """P^(0,b)_l at x from the three-term recursion behind largest_zero."""
+    return numerics._eval_with_derivative(numerics._three_terms(b, l), x)[0]
+
+
+def old_three_terms(kind, l):
+    """The separate Legendre and (0,1) Jacobi coefficient formulas that the one
+    P^(0,b) recurrence replaced, kept as its bit-for-bit reference."""
+    if kind == "legendre":
+        return [((2 * k - 1) / k, 0.0, (k - 1) / k) for k in range(1, l + 1)]
+    return [((2 * k + 1) * (2 * k - 1) / den, -1.0 / den, (k - 1) * (2 * k + 1) / den)
+            for k in range(1, l + 1) for den in [(k + 1) * (2 * k - 1)]]
+
+
+def test_three_terms_reproduce_legendre_and_jacobi01_bit_for_bit():
+    # the table and asymptotic outputs rest on these coefficients
+    for b, kind in ((0, "legendre"), (1, "jacobi01")):
+        want = [tuple(t.hex() for t in step) for step in old_three_terms(kind, 5000)]
+        got = [tuple(t.hex() for t in step) for step in numerics._three_terms(b, 5000)]
+        assert got == want, kind
+        assert numerics._three_terms(b, 0) == []
 
 
 @pytest.mark.parametrize("l,coeffs", sorted(LEGENDRE_COEFFS.items()))
 def test_legendre_eval_matches_hand_expansion(l, coeffs):
     xs = np.linspace(-1.0, 1.0, 41)
-    assert np.max(np.abs(recursion_value("legendre", l, xs) - poly_value(coeffs, xs))) < 1e-14
+    assert np.max(np.abs(recursion_value(0, l, xs) - poly_value(coeffs, xs))) < 1e-14
 
 
 @pytest.mark.parametrize("l,coeffs", sorted(JACOBI01_COEFFS.items()))
 def test_jacobi01_eval_matches_hand_expansion(l, coeffs):
     xs = np.linspace(-1.0, 1.0, 41)
-    assert np.max(np.abs(recursion_value("jacobi01", l, xs) - poly_value(coeffs, xs))) < 1e-14
+    assert np.max(np.abs(recursion_value(1, l, xs) - poly_value(coeffs, xs))) < 1e-14
 
 
 def test_both_families_are_one_at_one():
     for l in range(0, 31):
-        assert recursion_value("legendre", l, 1.0) == pytest.approx(1.0, abs=1e-12)
-        assert recursion_value("jacobi01", l, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert recursion_value(0, l, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert recursion_value(1, l, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eval_scalar_returns_scalar_and_broadcasts():
-    assert isinstance(float(recursion_value("legendre", 3, 0.3)), float)
-    out = recursion_value("jacobi01", 3, np.zeros((2, 5)))
+    assert isinstance(float(recursion_value(0, 3, 0.3)), float)
+    out = recursion_value(1, 3, np.zeros((2, 5)))
     assert out.shape == (2, 5)
 
 

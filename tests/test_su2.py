@@ -23,6 +23,9 @@ def test_halfint_construction_and_value():
     assert HalfInt.of(HalfInt(5)) is not None
     with pytest.raises(ValueError):
         HalfInt.of(0.3)
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="is not a half-integer"):
+            HalfInt.of(value)
     with pytest.raises(TypeError):
         HalfInt(1.5)
 
