@@ -42,7 +42,7 @@ class MultiRepState:
     def __post_init__(self):
         sn = HalfInt.of(self.sn)
         object.__setattr__(self, "sn", sn)
-        blocks = len(_block_twices(sn, self.nspins))
+        blocks = len(_checked_twices(sn, self.nspins))
         coeffs = np.asarray(self.coeffs, dtype=complex)
         if coeffs.shape != (blocks,):
             raise ValueError(f"need {blocks} coefficients for N={self.nspins}, sn={sn!r}")
@@ -61,18 +61,21 @@ class MultiRepState:
 
 
 def _block_twices(sn: HalfInt, nspins: int) -> range:
-    """2S of each block of the tower (sn, N), descending: N, N - 2, ..., 2 sn.
+    """2S of each block of the tower (sn, N), descending: N, N - 2, ..., 2 sn. Unchecked:
+    the objects that carry a tower check it once, when built (:func:`_checked_twices`)."""
+    return range(nspins, sn.twice - 1, -2)
 
-    Raises ValueError unless N is an integer >= 1 and sn lies between 0 and
-    N/2 and differs from N/2 by an integer.
-    """
+
+def _checked_twices(sn: HalfInt, nspins: int) -> range:
+    """:func:`_block_twices` of (sn, N), raising ValueError unless N is an integer >= 1
+    and sn lies between 0 and N/2 and differs from N/2 by an integer."""
     if not isinstance(nspins, (int, np.integer)):
         raise ValueError(f"nspins must be an integer, not {nspins!r}")
     if nspins < 1:
         raise ValueError("nspins must be >= 1")
     if sn.twice < 0 or sn.twice > nspins or (nspins - sn.twice) % 2 != 0:
         raise ValueError(f"sn={sn!r} is incompatible with N={nspins}")
-    return range(nspins, sn.twice - 1, -2)
+    return _block_twices(sn, nspins)
 
 
 def _tower_dim(sn: HalfInt, nspins: int) -> int:
@@ -265,7 +268,7 @@ def alpha_state(f: AlphaFamily, n: Direction) -> np.ndarray:
 
 def decoder_coefficients(sn, nspins: int) -> np.ndarray:
     """Block weights b_S = sqrt((2S+1)/D) of the covariant decoder."""
-    dims = np.array([twice + 1 for twice in _block_twices(HalfInt.of(sn), nspins)], dtype=float)
+    dims = np.array([twice + 1 for twice in _checked_twices(HalfInt.of(sn), nspins)], dtype=float)
     return np.sqrt(dims / dims.sum())
 
 

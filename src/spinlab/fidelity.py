@@ -59,17 +59,17 @@ def max_fidelity_rotation(nspins: int) -> tuple[float, MultiRepState]:
     return (1.0 + lam) / 2.0, code
 
 
-def _zero_of(nspins: int) -> tuple[str, int]:
-    """Family and degree whose largest zero x gives the restricted optimum (1 + x)/2:
-    P^(0,b) with b = 2 sn of the minimal tower ('legendre' b = 0 for even N,
-    'jacobi01' b = 1 for odd N), of degree its number of blocks."""
+def _zero_of(nspins: int) -> tuple[int, int]:
+    """b and degree of the Jacobi polynomial P^(0,b) whose largest zero x gives the
+    restricted optimum (1 + x)/2: b = 2 sn of the minimal tower (0 for even N, 1 for
+    odd N), the degree its number of blocks."""
     sn = minimal_sn(nspins)
-    return ("legendre", "jacobi01")[sn.twice], len(_block_twices(sn, nspins))
+    return sn.twice, len(_block_twices(sn, nspins))
 
 
 def max_fidelity_polynomial(nspins: int) -> float:
     """Best restricted fidelity via the largest orthogonal-polynomial zero."""
-    return (1.0 + numerics.largest_zero(*_zero_of(nspins))) / 2.0
+    return (1.0 + numerics._largest_zero(*_zero_of(nspins))) / 2.0
 
 
 _PASS_COEFFICIENTS = 2 ** 20  # per Newton pass of max_fidelity_polynomials: 24 MB at most
@@ -80,9 +80,9 @@ def max_fidelity_polynomials(max_n: int) -> np.ndarray:
     passes (:func:`spinlab.numerics._largest_zeros`), one up to max_n = 1000."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    kinds, degrees = zip(*map(_zero_of, range(1, max_n + 1)))
+    bs, degrees = zip(*map(_zero_of, range(1, max_n + 1)))
     step = max(1, _PASS_COEFFICIENTS // max(degrees))
-    x = np.concatenate([numerics._largest_zeros(kinds[i:i + step], degrees[i:i + step])
+    x = np.concatenate([numerics._largest_zeros(bs[i:i + step], degrees[i:i + step])
                         for i in range(0, max_n, step)])
     return (1.0 + x) / 2.0
 

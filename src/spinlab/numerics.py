@@ -147,27 +147,27 @@ def _eval_with_derivative(terms, x):
     return p, d
 
 
-def _family(kind: str, l: int) -> int:
-    """b of the Jacobi family P^(0,b) that kind names, 0 for 'legendre' and 1 for
-    'jacobi01'; raises ValueError unless kind is one of them and the degree l >= 1."""
-    if kind not in ("legendre", "jacobi01"):
-        raise ValueError(f"unknown polynomial family: {kind!r}")
-    if l < 1:
-        raise ValueError("degree must be >= 1")
-    return ("legendre", "jacobi01").index(kind)
-
-
 def largest_zero(kind: str, l: int) -> float:
     """Greatest root in (-1, 1) of P_l ('legendre') or the (0,1) Jacobi family
-    ('jacobi01'), both evaluated by the P^(0,b) recurrence of :func:`_three_terms`.
+    ('jacobi01'): :func:`_largest_zero` of P^(0,b) with b = 0 or 1."""
+    if kind not in ("legendre", "jacobi01"):
+        raise ValueError(f"unknown polynomial family: {kind!r}")
+    return _largest_zero(("legendre", "jacobi01").index(kind), l)
 
-    Newton iteration from x = 1: both families are positive, increasing, and
-    convex to the right of their last zero, so the iterates descend
+
+def _largest_zero(b: int, l: int) -> float:
+    """Greatest root in (-1, 1) of the Jacobi polynomial P^(0,b)_l, evaluated by the
+    recurrence of :func:`_three_terms`.
+
+    Newton iteration from x = 1: the polynomial is positive, increasing, and
+    convex to the right of its last zero, so the iterates descend
     monotonically onto it. Near convergence rounding noise in p can flip its
     sign and bounce the iterate by a fraction of an ulp; the step-size stop
     and the two-cycle check absorb that.
     """
-    terms = _three_terms(_family(kind, l), l)  # once, not once per Newton step
+    if l < 1:
+        raise ValueError("degree must be >= 1")
+    terms = _three_terms(b, l)  # once, not once per Newton step
     x = 1.0
     x_older = math.inf
     for _ in range(200):
@@ -175,8 +175,7 @@ def largest_zero(kind: str, l: int) -> float:
         if p == 0.0:
             return x
         if dp <= 0.0:
-            raise RuntimeError(
-                f"largest_zero({kind!r}, {l}): derivative lost positivity")
+            raise RuntimeError(f"largest zero of P^(0,{b})_{l}: derivative lost positivity")
         x_new = x - p / dp
         if abs(x_new - x) <= 5e-16:
             return x_new
@@ -184,25 +183,26 @@ def largest_zero(kind: str, l: int) -> float:
             return 0.5 * (x + x_new)
         x_older = x
         x = x_new
-    raise RuntimeError(f"largest_zero({kind!r}, {l}) did not converge")
+    raise RuntimeError(f"largest zero of P^(0,{b})_{l} did not converge")
 
 
-def _largest_zeros(kinds, degrees) -> np.ndarray:
-    """:func:`largest_zero` of every pair (kinds[i], degrees[i]) at once, equal to it
+def _largest_zeros(bs, degrees) -> np.ndarray:
+    """:func:`_largest_zero` of every pair (bs[i], degrees[i]) at once, equal to it
     bit for bit.
 
     One Newton iteration runs for the whole table. Each family's recurrence
     coefficients come from one :func:`_three_terms` list up to the highest
     degree; past an element's own degree its steps are (a, b, c) = (0, 1, 0),
     which leave p and p' exactly as they are. Each element stops by the rules
-    of :func:`largest_zero`, and only the elements still iterating are
+    of :func:`_largest_zero`, and only the elements still iterating are
     evaluated.
     """
-    kinds, degrees = list(kinds), np.asarray(degrees, dtype=int)
-    if degrees.shape != (len(kinds),):
+    bs, degrees = list(bs), np.asarray(degrees, dtype=int)
+    if degrees.shape != (len(bs),):
         raise ValueError("need one degree per polynomial family")
-    bs = [_family(kind, l) for kind, l in zip(kinds, degrees.tolist())]
-    if not kinds:
+    if (degrees < 1).any():
+        raise ValueError("degree must be >= 1")
+    if not bs:
         return np.empty(0)
     families = sorted(set(bs))
     top = int(degrees.max())
@@ -222,14 +222,14 @@ def _largest_zeros(kinds, degrees) -> np.ndarray:
         bad = (p != 0.0) & (dp <= 0.0)
         if bad.any():
             i = live[bad.argmax()]
-            raise RuntimeError(f"largest_zero({kinds[i]!r}, {degrees[i]}): "
+            raise RuntimeError(f"largest zero of P^(0,{bs[i]})_{degrees[i]}: "
                                "derivative lost positivity")
         with np.errstate(divide="ignore", invalid="ignore"):
             x_new = x - p / dp
         done = np.zeros(live.size, dtype=bool)
         for rule, value in ((p == 0.0, x), (np.abs(x_new - x) <= 5e-16, x_new),
                             (x_new == x_older, 0.5 * (x + x_new))):
-            rule &= ~done  # the first rule that holds decides, as in largest_zero
+            rule &= ~done  # the first rule that holds decides, as in _largest_zero
             zeros[live[rule]] = value[rule]
             done |= rule
         if done.any():  # keep the live columns contiguous: strided rows cost 4x
@@ -239,7 +239,7 @@ def _largest_zeros(kinds, degrees) -> np.ndarray:
             x_older, x = x, x_new
     if live.size:
         i = live[0]
-        raise RuntimeError(f"largest_zero({kinds[i]!r}, {degrees[i]}) did not converge")
+        raise RuntimeError(f"largest zero of P^(0,{bs[i]})_{degrees[i]} did not converge")
     return zeros
 
 

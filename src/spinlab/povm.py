@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from . import numerics
-from .codes import (MultiRepState, _block_twices, _decoded_fidelity, _exact_rings,
+from .codes import (MultiRepState, _checked_twices, _decoded_fidelity, _exact_rings,
                     _projection_blocks, _tower_dim, _tower_kernel, _tower_phases, _turned_about_z,
                     decoder_coefficients)
 from .su2 import Direction, HalfInt, X_AXIS, Y_AXIS, Z_AXIS, _half_angle_terms, _powers, rotate_to
@@ -96,7 +96,7 @@ class RingPovm:
 
     def __post_init__(self):
         object.__setattr__(self, "sn", HalfInt.of(self.sn))
-        _block_twices(self.sn, self.nspins)  # raises unless (sn, N) is a tower
+        _checked_twices(self.sn, self.nspins)  # raises unless (sn, N) is a tower
         if self.ring_size < self.nspins + 1:
             raise ValueError(f"a grid POVM over N = {self.nspins} needs at least "
                              f"{self.nspins + 1} outcomes per ring")
@@ -173,12 +173,13 @@ def check_identity(p: FinitePovm | RingPovm) -> float:
     return worst
 
 
-def _as_read(code: MultiRepState, p: FinitePovm | RingPovm) -> FinitePovm | RingPovm:
-    """p as the exact average and the sampler read it for code: a :class:`RingPovm` on
-    the code's own tower (sn, N) ring by ring, any other ring POVM as its rows."""
-    if isinstance(p, RingPovm) and (p.sn, p.nspins) != (code.sn, code.nspins):
-        return p.rows()
-    return p
+def _as_read(code: MultiRepState, p: FinitePovm | RingPovm):
+    """p as the exact average and the sampler read it for code, with the outcomes that
+    each of its states stands for: a :class:`RingPovm` on the code's own tower (sn, N)
+    ring by ring, P per ring, and any other POVM by its rows, one each."""
+    if isinstance(p, RingPovm) and (p.sn, p.nspins) == (code.sn, code.nspins):
+        return p, p.ring_size
+    return (p.rows() if isinstance(p, RingPovm) else p), 1
 
 
 def povm_fidelity_exact(code: MultiRepState, p: FinitePovm | RingPovm) -> float:
@@ -196,9 +197,8 @@ def povm_fidelity_exact(code: MultiRepState, p: FinitePovm | RingPovm) -> float:
     deviation = check_identity(p)
     if deviation > 1e-10:
         raise ValueError(f"POVM does not resolve the identity (deviation {deviation:.3e})")
-    p = _as_read(code, p)
-    weights = p.ring_size * p.weights if isinstance(p, RingPovm) else p.weights
-    return _decoded_fidelity(code, weights, p.states, p.guesses)
+    p, size = _as_read(code, p)
+    return _decoded_fidelity(code, size * p.weights, p.states, p.guesses)
 
 
 def _check_total(total: np.ndarray) -> None:
@@ -300,11 +300,6 @@ def _chebyshev_rows(x: np.ndarray, degree: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bras(code: MultiRepState, states: np.ndarray) -> np.ndarray:
-    """conj(states) (K, D) times the code's coefficient of each component's block."""
-    return states.conj() * np.repeat(code.coeffs, [s.twice + 1 for s in code.spins])
-
-
 def _generic_sampler(code: MultiRepState, p: FinitePovm):
     """Outcome draw over all K outcomes, for any POVM on the code's space.
 
@@ -316,7 +311,7 @@ def _generic_sampler(code: MultiRepState, p: FinitePovm):
     The indices are written into a buffer that the next call overwrites.
     """
     table, blocks = _tower_kernel(code)
-    bras = _bras(code, p.states)
+    bras = p.states.conj() * np.repeat(code.coeffs, [s.twice + 1 for s in code.spins])
     weights = p.weights[:, None]
     harmonics, nslots, nbras = code.nspins // 2 + 1, code.nspins + 1, bras.shape[0]
     scratch = _scratch({0: code.dim, 1: max(2 * harmonics, 2 * code.dim, nbras),
@@ -366,7 +361,7 @@ def _ring_sampler(code: MultiRepState, p: RingPovm):
     size, ring_weights = p.ring_size, p.weights
     nrings, nslots = ring_weights.size, code.nspins + 1
     table, blocks = _tower_kernel(code)
-    mixed = _bras(code, p.states).T
+    mixed = (np.repeat(code.coeffs, [s.twice + 1 for s in code.spins]) * p.states.conj()).T
     step = max(1, _BUDGET // (nslots * nslots))
     ring_blocks = [slice(lo, lo + step) for lo in range(0, nrings, step)]
     # real and imaginary parts stacked, so each product is a real one; the
@@ -517,11 +512,11 @@ def simulate(code: MultiRepState, p: FinitePovm | RingPovm, shots: int,
         raise ValueError("shots must be >= 1")
     if p.dim != code.dim:
         raise ValueError("POVM and code dimensions differ")
-    p = _as_read(code, p)
+    p, size = _as_read(code, p)
     if isinstance(p, RingPovm):
         draw = _ring_sampler(code, p)
-        footprint = p.weights.size + p.ring_size + code.nspins + 1
-        guesses = _turned_about_z(p.guesses, p.ring_size)
+        footprint = p.weights.size + size + code.nspins + 1
+        guesses = _turned_about_z(p.guesses, size)
     else:
         draw = _generic_sampler(code, p)
         footprint = p.weights.size + code.dim

@@ -219,9 +219,9 @@ def test_batched_table_in_several_passes_equals_single_calls(monkeypatch):
     calls = []
     batched = numerics._largest_zeros
 
-    def counted(kinds, degrees):
-        calls.append(len(kinds))
-        return batched(kinds, degrees)
+    def counted(bs, degrees):
+        calls.append(len(bs))
+        return batched(bs, degrees)
 
     monkeypatch.setattr(fidelity, "_PASS_COEFFICIENTS", 360)
     monkeypatch.setattr(numerics, "_largest_zeros", counted)

@@ -1,8 +1,8 @@
 """Average information gain: closed form, quadrature, and the alpha peak."""
 
+import decimal
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
@@ -35,13 +35,14 @@ def test_fit_table_jacobi_rows_match_scipy(twice_sn):
         assert not jacobi.flags.writeable and not vander.flags.writeable
 
 
-def mpmath_jacobi_rows(blocks, twice_sn):
+def decimal_jacobi_rows(blocks, twice_sn):
     """P^(0,2sn)_{B-1}, ..., P_0 at the B Chebyshev nodes by the three-term recurrence
-    in 50-digit arithmetic, rounded to float at the end."""
+    in 50-digit decimal arithmetic, rounded to float at the end."""
     b = twice_sn
-    with mpmath.workdps(50):
-        x = np.array([mpmath.mpf(float(v)) for v in chebyshev.chebpts1(blocks)], dtype=object)
-        rows = [np.full(blocks, mpmath.mpf(1), dtype=object), ((b + 2) * x - b) / 2]
+    with decimal.localcontext(decimal.Context(prec=50)):
+        x = np.array([decimal.Decimal(v) for v in chebyshev.chebpts1(blocks).tolist()],
+                     dtype=object)
+        rows = [np.full(blocks, decimal.Decimal(1), dtype=object), ((b + 2) * x - b) / 2]
         for n in range(2, blocks):
             c = 2 * n + b
             rows.append(((c - 1) * (c * (c - 2) * x - b * b) * rows[-1]
@@ -52,7 +53,7 @@ def mpmath_jacobi_rows(blocks, twice_sn):
 @pytest.mark.parametrize("blocks,twice_sn", [(501, 0), (501, 1), (201, 40)])
 def test_fit_table_rows_match_high_precision_recurrence(blocks, twice_sn):
     # error per entry, scaled by max(|P|, 1): 1.2e-13, 6.8e-12 and 4.0e-12 measured
-    want = mpmath_jacobi_rows(blocks, twice_sn)
+    want = decimal_jacobi_rows(blocks, twice_sn)
     err = np.abs(_fit_tables(blocks, twice_sn)[0] - want) / np.maximum(np.abs(want), 1.0)
     assert np.max(err) < 1e-11
 
