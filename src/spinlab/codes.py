@@ -66,13 +66,20 @@ def _block_twices(sn: HalfInt, nspins: int) -> range:
     return range(nspins, sn.twice - 1, -2)
 
 
+def _checked_count(count: int, name: str = "nspins", least: int = 1) -> int:
+    """count, raising ValueError unless it is an integer >= least: the library's one check
+    of a spin count, a dimension or a table size."""
+    if not isinstance(count, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {count!r}")
+    if count < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return count
+
+
 def _checked_twices(sn: HalfInt, nspins: int) -> range:
     """:func:`_block_twices` of (sn, N), raising ValueError unless N is an integer >= 1
     and sn lies between 0 and N/2 and differs from N/2 by an integer."""
-    if not isinstance(nspins, (int, np.integer)):
-        raise ValueError(f"nspins must be an integer, not {nspins!r}")
-    if nspins < 1:
-        raise ValueError("nspins must be >= 1")
+    _checked_count(nspins)
     if sn.twice < 0 or sn.twice > nspins or (nspins - sn.twice) % 2 != 0:
         raise ValueError(f"sn={sn!r} is incompatible with N={nspins}")
     return _block_twices(sn, nspins)
@@ -121,9 +128,7 @@ class AlphaFamily:
 
 def minimal_sn(nspins: int) -> HalfInt:
     """Smallest projection label available for N spins: 0 or 1/2 by parity."""
-    if nspins < 1:
-        raise ValueError("nspins must be >= 1")
-    return HalfInt(nspins % 2)
+    return HalfInt(_checked_count(nspins) % 2)
 
 
 def coherent_code(d: int) -> MultiRepState:
@@ -132,8 +137,7 @@ def coherent_code(d: int) -> MultiRepState:
     This is the optimal d-level code; for d = N+1 it is also the aligned
     product state of N spins.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    _checked_count(d, "d", 2)
     return MultiRepState(HalfInt(d - 1), d - 1, np.array([1.0 + 0.0j]))
 
 

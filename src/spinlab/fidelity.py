@@ -14,8 +14,8 @@ import math
 import numpy as np
 
 from . import numerics
-from .codes import (MultiRepState, _axial_overlap, _block_twices, _decoded_fidelity, _exact_size,
-                    code_state, matched_decoder, minimal_sn)
+from .codes import (MultiRepState, _axial_overlap, _block_twices, _checked_count, _decoded_fidelity,
+                    _exact_size, code_state, matched_decoder, minimal_sn)
 from .su2 import Direction, Z_AXIS
 
 
@@ -28,9 +28,7 @@ def build_m(nspins: int) -> numerics.Tridiag:
         even N:  d_k = 0,              c_k = k / sqrt(4k^2 - 1)
         odd  N:  d_k = 1/(4k^2 - 1),   c_k = sqrt(k(k+1)) / (2k + 1)
     """
-    if nspins < 1:
-        raise ValueError("nspins must be >= 1")
-    if nspins % 2 == 0:
+    if _checked_count(nspins) % 2 == 0:
         size = nspins // 2 + 1
         diag = np.zeros(size)
         cs = [k / math.sqrt(4.0 * k * k - 1.0) for k in range(1, size)]
@@ -78,8 +76,7 @@ _PASS_COEFFICIENTS = 2 ** 20  # per Newton pass of max_fidelity_polynomials: 24 
 def max_fidelity_polynomials(max_n: int) -> np.ndarray:
     """:func:`max_fidelity_polynomial` of N = 1, ..., max_n, bit for bit, from batched Newton
     passes (:func:`spinlab.numerics._largest_zeros`), one up to max_n = 1000."""
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
+    _checked_count(max_n, "max_n")
     bs, degrees = zip(*map(_zero_of, range(1, max_n + 1)))
     step = max(1, _PASS_COEFFICIENTS // max(degrees))
     x = np.concatenate([numerics._largest_zeros(bs[i:i + step], degrees[i:i + step])

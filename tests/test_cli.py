@@ -302,7 +302,8 @@ def test_infogain_alpha_scan(capsys):
 
 def test_infogain_alpha_scan_scans_once(monkeypatch, capsys):
     # the table's 64 scanned gains are one 64-row call of the gain kernel, and its
-    # golden-section rows are the same one-row calls that maximize_alpha makes
+    # golden-section search makes the same lookahead-batch calls that maximize_alpha
+    # makes: a few calls of at most 15 rows, where one point at a time took 26 calls
     rows = []
     kernel = infogain._gains
 
@@ -317,7 +318,7 @@ def test_infogain_alpha_scan_scans_once(monkeypatch, capsys):
     code, _ = run_cli(["infogain", "--mode", "alpha-scan"], capsys)
     assert code == 0
     assert rows == maximizer_rows
-    assert rows[0] == 64 and len(rows) > 1 and set(rows[1:]) == {1}
+    assert rows[0] == 64 and 1 < len(rows) <= 1 + 7 and max(rows[1:]) <= 15
 
 
 def test_main_reuses_its_parser(capsys):

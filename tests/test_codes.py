@@ -126,6 +126,17 @@ def test_non_integer_spin_count_is_refused():
         povm.quadrature_povm(0, 2.0)
 
 
+@pytest.mark.parametrize("call, name", [
+    (minimal_sn, "nspins"), (coherent_code, "d"), (fidelity.max_fidelity_polynomial, "nspins"),
+    (fidelity.build_m, "nspins"), (fidelity.max_fidelity_rotation, "nspins"),
+    (fidelity.max_fidelity_polynomials, "max_n"), (fidelity.asymptotic_table, "max_n"),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_float_count_is_refused_by_the_shared_check(call, name):
+    # codes._checked_count raises before range(), numpy or HalfInt sees the float
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, not 2.0$"):
+        call(2.0)
+
+
 def test_decoder_state_is_weighted_tower():
     m = Direction(0.8, 5.5)
     got = decoder_state(HalfInt(0), 2, m)

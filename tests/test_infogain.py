@@ -302,3 +302,59 @@ def test_maximize_alpha_location_and_value():
     assert gain > info_gain_quadrature(alpha_code(AlphaFamily(math.pi / 4.0)))
     assert gain > info_gain_quadrature(alpha_code(AlphaFamily(best + 0.02)))
     assert gain > info_gain_quadrature(alpha_code(AlphaFamily(best - 0.02)))
+
+
+def one_point_golden_section(alphas, gains, beta):
+    """refine_alpha's golden-section search as one info_gain_quadrature call per point."""
+    def gain(alpha):
+        return info_gain_quadrature(alpha_code(AlphaFamily(alpha, beta)))
+
+    peak = int(np.argmax(gains))
+    a, b = float(alphas[peak - 1]), float(alphas[peak + 1])
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    gc, gd = gain(c), gain(d)
+    while b - a > 1e-6:
+        if gc > gd:
+            b, d, gd = d, c, gc
+            c = b - invphi * (b - a)
+            gc = gain(c)
+        else:
+            a, c, gc = c, d, gd
+            d = a + invphi * (b - a)
+            gd = gain(d)
+    best = 0.5 * (a + b)
+    return best, gain(best)
+
+
+SEEDED_BETAS = np.random.default_rng(28).uniform(0.0, 2.0 * math.pi, 10).tolist()
+
+
+def own_scan(alphas, beta):
+    return alphas, [info_gain_quadrature(alpha_code(AlphaFamily(float(a), beta))) for a in alphas]
+
+
+@pytest.mark.parametrize("scan, beta", [
+    *[(scan_alpha, beta) for beta in [0.0] + SEEDED_BETAS],
+    # coarser and uneven scans: other brackets, so the search stops at other depths
+    *[(lambda beta, n=n: own_scan(np.linspace(0.0, math.pi / 2.0, n), beta), beta)
+      for n in (9, 17, 33) for beta in (0.0, SEEDED_BETAS[0])],
+    (lambda beta: own_scan(np.sort(np.random.default_rng(5).uniform(0.0, math.pi / 2.0, 20)), beta),
+     SEEDED_BETAS[1]),
+], ids=[f"scan64-beta{i}" for i in range(11)]
+    + [f"linspace{n}-beta{i}" for n in (9, 17, 33) for i in (0, 1)] + ["uneven20"])
+def test_refine_alpha_equals_one_point_search(scan, beta):
+    # the lookahead batches read the same gains as evaluating each point on its own
+    alphas, gains = scan(beta)
+    got = infogain.refine_alpha(alphas, gains, beta=beta)
+    want = one_point_golden_section(alphas, gains, beta)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_refine_alpha_needs_an_interior_peak_inside_the_family():
+    alphas = np.linspace(0.0, math.pi / 2.0, 9)
+    for gains in (np.arange(9.0), -np.arange(9.0)):
+        with pytest.raises(RuntimeError, match="no interior maximum bracketed by the scan"):
+            infogain.refine_alpha(alphas, gains.tolist())
+    with pytest.raises(ValueError, match=r"alpha must lie in \[0, pi/2\]"):
+        infogain.refine_alpha(alphas + 0.5, [0.0] * 7 + [1.0, 0.0])  # bracket ends past pi/2
