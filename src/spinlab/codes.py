@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
+from .numerics import _checked_count
 from .su2 import (Direction, HalfInt, _d_diagonal_cosines, _d_fourier, _half_angle_terms,
                   _projection_values)
 
@@ -64,16 +65,6 @@ def _block_twices(sn: HalfInt, nspins: int) -> range:
     """2S of each block of the tower (sn, N), descending: N, N - 2, ..., 2 sn. Unchecked:
     the objects that carry a tower check it once, when built (:func:`_checked_twices`)."""
     return range(nspins, sn.twice - 1, -2)
-
-
-def _checked_count(count: int, name: str = "nspins", least: int = 1) -> int:
-    """count, raising ValueError unless it is an integer >= least: the library's one check
-    of a spin count, a dimension or a table size."""
-    if not isinstance(count, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, not {count!r}")
-    if count < least:
-        raise ValueError(f"{name} must be >= {least}")
-    return count
 
 
 def _checked_twices(sn: HalfInt, nspins: int) -> range:
@@ -126,9 +117,12 @@ class AlphaFamily:
             raise ValueError("alpha must lie in [0, pi/2]")
 
 
+_MINIMAL_SN = (HalfInt(0), HalfInt(1))  # shared: HalfInt is frozen
+
+
 def minimal_sn(nspins: int) -> HalfInt:
     """Smallest projection label available for N spins: 0 or 1/2 by parity."""
-    return HalfInt(_checked_count(nspins) % 2)
+    return _MINIMAL_SN[_checked_count(nspins) % 2]
 
 
 def coherent_code(d: int) -> MultiRepState:

@@ -14,8 +14,9 @@ import math
 import numpy as np
 
 from . import numerics
-from .codes import (MultiRepState, _axial_overlap, _block_twices, _checked_count, _decoded_fidelity,
-                    _exact_size, code_state, matched_decoder, minimal_sn)
+from .codes import (MultiRepState, _axial_overlap, _block_twices, _decoded_fidelity, _exact_size,
+                    code_state, matched_decoder, minimal_sn)
+from .numerics import _checked_count
 from .su2 import Direction, Z_AXIS
 
 
@@ -86,15 +87,13 @@ def max_fidelity_polynomials(max_n: int) -> np.ndarray:
 
 def fidelity_optimal(d: int) -> float:
     """Best possible mean fidelity of any d-dimensional encoding: d/(d+1)."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    _checked_count(d, "d", 2)
     return d / (d + 1)
 
 
 def fidelity_parallel(nspins: int) -> float:
     """Mean fidelity of N aligned product spins: (N+1)/(N+2)."""
-    if nspins < 1:
-        raise ValueError("nspins must be >= 1")
+    _checked_count(nspins)
     return (nspins + 1) / (nspins + 2)
 
 

@@ -11,6 +11,7 @@ from numpy.polynomial import chebyshev
 from . import numerics
 from .codes import (AlphaFamily, MultiRepState, _alpha_coefficients, _axial_coefficients,
                     _axial_series, _matched_coefficients, _overlap_products, _tower_dim)
+from .numerics import _checked_count
 from .su2 import HalfInt
 
 _LOG2E = 1.0 / math.log(2.0)
@@ -34,8 +35,7 @@ def info_gain_closed(nspins: int) -> float:
     Equals log2(d) - (1 - 1/d) log2(e) at d = 2^N; approaches N - log2(e)
     from below as N grows.
     """
-    if nspins < 1:
-        raise ValueError("nspins must be >= 1")
+    _checked_count(nspins)
     return nspins - (1.0 - 2.0 ** (-nspins)) * _LOG2E
 
 

@@ -98,6 +98,16 @@ class Tridiag:
         return m
 
 
+def _checked_count(count: int, name: str = "nspins", least: int = 1) -> int:
+    """count, raising ValueError unless it is an integer >= least: the library's one check
+    of a spin count, a dimension, a table size, a shot count, a rule order or a degree."""
+    if not isinstance(count, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {count!r}")
+    if count < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return count
+
+
 @lru_cache(maxsize=64)
 def _gauss_legendre_cached(order: int) -> Quadrature1D:
     nodes, weights = np.polynomial.legendre.leggauss(order)
@@ -110,9 +120,7 @@ def gauss_legendre(order: int) -> Quadrature1D:
     Exact for polynomials of degree <= 2*order - 1. Rules are cached and
     their arrays frozen, so repeated requests share one object.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    return _gauss_legendre_cached(order)
+    return _gauss_legendre_cached(_checked_count(order, "order"))
 
 
 def _three_terms(b: int, l: int) -> list[tuple[float, float, float]]:
@@ -165,9 +173,7 @@ def _largest_zero(b: int, l: int) -> float:
     sign and bounce the iterate by a fraction of an ulp; the step-size stop
     and the two-cycle check absorb that.
     """
-    if l < 1:
-        raise ValueError("degree must be >= 1")
-    terms = _three_terms(b, l)  # once, not once per Newton step
+    terms = _three_terms(b, _checked_count(l, "degree"))  # once, not once per Newton step
     x = 1.0
     x_older = math.inf
     for _ in range(200):

@@ -19,6 +19,7 @@ from . import numerics
 from .codes import (MultiRepState, _checked_twices, _decoded_fidelity, _exact_rings,
                     _projection_blocks, _tower_dim, _tower_kernel, _tower_phases, _turned_about_z,
                     decoder_coefficients)
+from .numerics import _checked_count
 from .su2 import Direction, HalfInt, X_AXIS, Y_AXIS, Z_AXIS, _half_angle_terms, _powers, rotate_to
 
 # shots per sampling chunk. It fixes the layout of the random stream, k values of
@@ -508,8 +509,7 @@ def simulate(code: MultiRepState, p: FinitePovm | RingPovm, shots: int,
     shot of a chunk (1 MB), so a call's allocations peak near 4.5 MiB for the
     octahedron and 3.0 MiB for the N = 12 grid, at any shot count.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    _checked_count(shots, "shots")
     if p.dim != code.dim:
         raise ValueError("POVM and code dimensions differ")
     p, size = _as_read(code, p)

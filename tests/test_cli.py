@@ -298,6 +298,11 @@ def test_infogain_alpha_scan(capsys):
     assert float(peak["info_gain"]) == pytest.approx(0.8729, abs=5e-4)
     scan_best = max(float(r["info_gain"]) for r in rows if r["is_max"] == "0")
     assert float(peak["info_gain"]) >= scan_best - 1e-9
+    # JSON floats round-trip, so the table's peak is maximize_alpha()'s bit for bit
+    _, out = run_cli(["infogain", "--mode", "alpha-scan", "--format", "json"], capsys)
+    best, gain = infogain.maximize_alpha()
+    assert [(r["alpha_over_pi"], r["info_gain"]) for r in json.loads(out) if r["is_max"]] == [
+        (best / math.pi, gain)]
 
 
 def test_infogain_alpha_scan_scans_once(monkeypatch, capsys):
@@ -365,6 +370,15 @@ def test_large_n_scan_bytes_are_pinned(argv, digest, capsys):
     code, out = run_cli(argv, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    # what the digest pins: N = 1..1000, F rising, the polynomial route's F to the bit in
+    # both commands (table's f_rotation), and the deficit near the J0 limit at N = 1000
+    rows = json.loads(run_cli([*argv, "--format", "json"], capsys)[1])
+    fids = [r["f_rotation" if argv[0] == "table" else "fidelity"] for r in rows]
+    assert [r["n"] for r in rows] == list(range(1, 1001))
+    assert all(b > a for a, b in zip(fids, fids[1:]))
+    assert fids == fidelity.max_fidelity_polynomials(1000).tolist()
+    if argv[0] == "asymptotic":
+        assert abs(rows[-1]["scaled_deficit"] / rows[-1]["xi_squared"] - 1.0) < 7e-3
 
 
 @pytest.mark.parametrize("argv", [
@@ -387,9 +401,9 @@ def test_usage_errors_exit_two(argv, capsys):
         cli.main(argv)
     assert err.value.code == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
+    assert captured.out == "" and "Traceback" not in captured.err
     if "--out" in argv:  # a file that cannot be written is reported in one line
-        assert len(captured.err.splitlines()) == 1 and "cannot write" in captured.err
+        assert len(captured.err.splitlines()) == 1 and "cannot write --out" in captured.err
     elif argv and argv[0] in ("table", "verify", "simulate", "infogain", "asymptotic"):
         # an error in a subcommand's arguments shows that subcommand's usage
         assert captured.err.startswith(f"usage: spinlab {argv[0]} ")

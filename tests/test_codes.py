@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spinlab import codes, fidelity, povm
+from spinlab import codes, fidelity, infogain, povm
 from spinlab.codes import (AlphaFamily, DensityMatrix, MultiRepState, _block_amplitudes,
                            _exact_rings, _tower_projections, alpha_code, alpha_state,
                            code_state, coherent_code, decoder_coefficients, decoder_state,
@@ -130,9 +130,11 @@ def test_non_integer_spin_count_is_refused():
     (minimal_sn, "nspins"), (coherent_code, "d"), (fidelity.max_fidelity_polynomial, "nspins"),
     (fidelity.build_m, "nspins"), (fidelity.max_fidelity_rotation, "nspins"),
     (fidelity.max_fidelity_polynomials, "max_n"), (fidelity.asymptotic_table, "max_n"),
+    (fidelity.fidelity_optimal, "d"), (fidelity.fidelity_parallel, "nspins"),
+    (infogain.info_gain_closed, "nspins"),
 ], ids=lambda v: getattr(v, "__name__", v))
 def test_float_count_is_refused_by_the_shared_check(call, name):
-    # codes._checked_count raises before range(), numpy or HalfInt sees the float
+    # numerics._checked_count raises before range(), numpy or HalfInt sees the float
     with pytest.raises(ValueError, match=f"^{name} must be an integer, not 2.0$"):
         call(2.0)
 

@@ -36,6 +36,8 @@ def poly_value(coeffs, x):
 def test_gauss_legendre_validation():
     with pytest.raises(ValueError):
         gauss_legendre(0)
+    with pytest.raises(ValueError, match="^order must be an integer, not 3.0$"):
+        gauss_legendre(3.0)
 
 
 def test_gauss_legendre_basic_shape():
@@ -181,6 +183,8 @@ def test_largest_zero_validation():
         largest_zero("chebyshev", 3)
     with pytest.raises(ValueError):
         largest_zero("legendre", 0)
+    with pytest.raises(ValueError, match="^degree must be an integer, not 3.0$"):
+        largest_zero("legendre", 3.0)
 
 
 def j0_series(x):

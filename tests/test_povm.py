@@ -607,6 +607,8 @@ def test_simulate_validation():
     code = coherent_code(4)
     with pytest.raises(ValueError):
         simulate(code, octahedron_povm(), 0, 0)
+    with pytest.raises(ValueError, match="^shots must be an integer, not 10.0$"):
+        simulate(code, octahedron_povm(), 10.0, 0)
     with pytest.raises(ValueError):
         simulate(coherent_code(2), octahedron_povm(), 10, 0)
 
