@@ -23,6 +23,9 @@ from .su2 import (Direction, HalfInt, _d_diagonal_cosines, _d_fourier, _half_ang
 # angles per cosine-series call of the +z overlap: temporaries of N // 2 + 1
 # rows by all angles stay resident in the heap after use and raise peak memory
 _KERNEL_POINTS = 1024
+# complex terms per reduction of :func:`_block_sum` (512 KB): the whole tower's
+# terms at once would take 4 MB at N = 1000
+_SUM_TERMS = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,19 +203,47 @@ def _overlap_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _block_sum(products: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_i products[:, i, None] * table[i] for block products (K, B) and a real table
+    (B, L), shape (K, L), bit for bit as a loop over the blocks adds it from zeros,
+    0 + t_0 + t_1 + ..., signed zeros included.
+
+    The terms of max(1, _SUM_TERMS // (K L)) blocks at a time go into one
+    C-ordered buffer (1 + m, K, L) whose first row is the running total (zeros
+    at the start), and one reduction over that first axis adds its rows in
+    order: numpy sums pairwise only along an axis that its inner loop walks,
+    and here that loop walks the K L entries of a row (K L > 1 whenever B > 1,
+    as both tables have L >= B). The buffer holds about _SUM_TERMS values
+    whatever B.
+    """
+    rows, blocks = products.shape
+    step = max(1, _SUM_TERMS // (rows * table.shape[1]))
+    terms = np.empty((1 + min(step, blocks), rows, table.shape[1]), dtype=complex)
+    total = 0.0
+    for lo in range(0, blocks, step):
+        part = terms[:1 + min(step, blocks - lo)]
+        part[0] = total
+        np.multiply(products.T[lo:lo + step, :, None], table[lo:lo + step, None, :], out=part[1:])
+        total = np.add.reduce(part, axis=0)
+    return total
+
+
 def _axial_coefficients(sn: HalfInt, nspins: int, products: np.ndarray) -> np.ndarray:
     """Cosine series, shape (K, N // 2 + 1), of the overlaps sum_S p_S d^S_{sn,sn}(theta)
     with block products p_S = conj(b_S) a_S, shape (K, B), of the tower (sn, N).
 
     Every block of a tower has the parity of 2S = N, so each block's cosine
     series (:func:`spinlab.su2._d_diagonal_cosines`) reads the leading
-    harmonics of the top block's and the tower sums into one series.
+    harmonics of the top block's: block i fills the first N // 2 + 1 - i.
+    Stacked and zero-padded into one (B, N // 2 + 1) table per call, they are
+    summed over the tower by the ordered reduction of :func:`_block_sum`, in
+    chunks of blocks of at most _SUM_TERMS terms.
     """
-    coef = np.zeros((products.shape[0], nspins // 2 + 1), dtype=complex)
+    pad = np.zeros(products.shape[1])
+    parts = []
     for i, twice in enumerate(_block_twices(sn, nspins)):
-        c = _d_diagonal_cosines(twice, sn.twice)
-        coef[:, :c.size] += products[:, i, None] * c
-    return coef
+        parts += (_d_diagonal_cosines(twice, sn.twice), pad[:i])
+    return _block_sum(products, np.concatenate(parts).reshape(-1, nspins // 2 + 1))
 
 
 def _axial_series(coef: np.ndarray, nspins: int, thetas: np.ndarray) -> np.ndarray:
@@ -223,20 +254,28 @@ def _axial_series(coef: np.ndarray, nspins: int, thetas: np.ndarray) -> np.ndarr
     one. Rows whose coefficients are all real are evaluated in real
     arithmetic, reading the real parts in place (BLAS may round a packed
     vector differently); the result is complex when any row is not real.
+    Rows are split into a real and a complex group only when both kinds
+    occur; otherwise the chunks are runs of consecutive rows, read as views.
     """
-    half_k = np.arange(coef.shape[1]) + (nspins % 2) / 2.0  # k_i / 2 of the series
-    real = ~coef.imag.any(axis=1)
-    out = np.empty(thetas.shape, dtype=float if real.all() else complex)
+    half_k = np.arange((nspins % 2) / 2.0, coef.shape[1])  # k_i / 2 of the series
+    complex_rows = coef.imag.any(axis=1)
+    kinds = set(complex_rows.tolist())
     rows = max(1, _KERNEL_POINTS // thetas.shape[1])
     cols = min(thetas.shape[1], _KERNEL_POINTS)
-    for group, is_real in ((real.nonzero()[0], True), ((~real).nonzero()[0], False)):
-        for lo in range(0, group.size, rows):
-            sel = group[lo:lo + rows]
-            c = coef[sel, None, :].real if is_real else coef[sel, None, :]
-            for left in range(0, thetas.shape[1], cols):
-                part = slice(left, left + cols)
-                table = half_k[:, None] * thetas[sel, None, part]
-                out[sel, part] = np.matmul(c, np.cos(table, out=table))[:, 0, :]
+    out = np.empty(thetas.shape, dtype=complex if True in kinds else float)
+    if len(kinds) == 1:
+        chunks = [(slice(lo, lo + rows), True not in kinds) for lo in range(0, len(coef), rows)]
+    else:  # a real and a complex group of rows, each gathered
+        chunks = [(group[lo:lo + rows], is_real)
+                  for group, is_real in (((~complex_rows).nonzero()[0], True),
+                                         (complex_rows.nonzero()[0], False))
+                  for lo in range(0, group.size, rows)]
+    for sel, is_real in chunks:
+        c = coef[sel, None, :].real if is_real else coef[sel, None, :]
+        for left in range(0, thetas.shape[1], cols):
+            part = slice(left, left + cols)
+            table = half_k[:, None] * thetas[sel, None, part]
+            out[sel, part] = np.matmul(c, np.cos(table, out=table))[:, 0, :]
     return out
 
 
@@ -266,8 +305,10 @@ def alpha_state(f: AlphaFamily, n: Direction) -> np.ndarray:
 
 def decoder_coefficients(sn, nspins: int) -> np.ndarray:
     """Block weights b_S = sqrt((2S+1)/D) of the covariant decoder."""
-    dims = np.array([twice + 1 for twice in _checked_twices(HalfInt.of(sn), nspins)], dtype=float)
-    return np.sqrt(dims / dims.sum())
+    sn = HalfInt.of(sn)
+    _checked_twices(sn, nspins)
+    dims = np.arange(nspins + 1, sn.twice, -2, dtype=float)  # 2S + 1, S = N/2 down to sn
+    return np.sqrt(dims / _tower_dim(sn, nspins))
 
 
 def decoder_state(sn, nspins: int, m: Direction) -> np.ndarray:
@@ -290,8 +331,8 @@ def _matched_coefficients(sn: HalfInt, nspins: int, coeffs: np.ndarray) -> np.nd
     """Coefficients of :func:`matched_decoder` for code coefficients (..., B) on the tower
     (sn, N), elementwise."""
     mags = np.abs(coeffs)
-    keep = mags > 1e-14
-    return decoder_coefficients(sn, nspins) * np.where(keep, coeffs / np.where(keep, mags, 1.0), 1.0)
+    phases = np.divide(coeffs, mags, out=np.ones(coeffs.shape, coeffs.dtype), where=mags > 1e-14)
+    return decoder_coefficients(sn, nspins) * phases
 
 
 def _exact_size(nspins: int) -> int:

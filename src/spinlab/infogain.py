@@ -10,7 +10,8 @@ from numpy.polynomial import chebyshev
 
 from . import numerics
 from .codes import (AlphaFamily, MultiRepState, _alpha_coefficients, _axial_coefficients,
-                    _axial_series, _matched_coefficients, _overlap_products, _tower_dim)
+                    _axial_series, _block_sum, _matched_coefficients, _overlap_products,
+                    _tower_dim)
 from .numerics import _checked_count
 from .su2 import HalfInt
 
@@ -86,53 +87,61 @@ def _gains(sn: HalfInt, nspins: int, codes: np.ndarray, decoders: np.ndarray) ->
     """Gains of K codes (K, B) under K decoders (K, B), all on the tower (sn, N), by the
     rule of :func:`info_gain_quadrature`, shape (K,).
 
-    One pass for all rows: r is sampled at the B Chebyshev nodes and fitted
-    as ``chebinterpolate`` does, from the tables of :func:`_fit_tables`; the
-    roots come in closed form when B = 2 and from ``chebroots`` row by row
-    otherwise. The cuts are padded with empty pieces at +1 to the most any
-    row has, so the rows share one node layout, and each row's sums run over
-    its own pieces only: a row's gain does not depend on the other rows.
-    Raises, naming the first such row, unless every row's q integrates to 1.
+    One pass for all rows: r is sampled at the B Chebyshev nodes, the block
+    products times the Jacobi rows of :func:`_fit_tables` summed over the
+    blocks in block order by one reduction (:func:`spinlab.codes._block_sum`,
+    in chunks of blocks that bound its buffer), and fitted as
+    ``chebinterpolate`` does; the roots come in closed form when B = 2 and
+    from ``chebroots`` row by row otherwise. With one block r is constant
+    and every row is the one piece [-1, 1]. Otherwise the cuts are padded
+    with empty pieces at +1 to the most any row has, so the rows share one
+    node layout, and each row's sums run over its own pieces only: a row's
+    gain does not depend on the other rows. Raises, naming the first such
+    row, unless every row's q integrates to 1.
     """
     rows, blocks = codes.shape
     products = _overlap_products(codes, decoders)
-    cuts = np.ones((rows, blocks + 1))
+    cuts = np.ones((rows, blocks + 1))  # [-1, 1], then B - 1 empty pieces at +1
     cuts[:, 0] = -1.0
-    pieces = np.ones(rows, dtype=int)
+    pieces = None  # one block: every row fills the node layout
     if blocks > 1:
         jacobi, vander = _fit_tables(blocks, sn.twice)
-        samples = np.zeros((rows, blocks), dtype=complex)
-        for i in range(blocks):
-            samples += products[:, i, None] * jacobi[i]
-        series = np.matmul(vander, samples[:, :, None])[:, :, 0]
-        series[:, 0] /= blocks
-        series[:, 1:] /= 0.5 * blocks
+        series = np.matmul(vander, _block_sum(products, jacobi)[:, :, None])[:, :, 0]
+        head, tail = series[:, :1], series[:, 1:]  # scaled as chebinterpolate scales them
+        head /= blocks
+        tail /= 0.5 * blocks
         if blocks == 2:
-            # chebroots drops a zero leading coefficient, and with it the root
-            with np.errstate(divide="ignore", invalid="ignore"):
-                roots = (-series[:, 0] / series[:, 1]).real
+            # chebroots drops a zero leading coefficient, and with it the root; a zero
+            # lead leaves the root at 1, outside
+            lead = series[:, 1]
+            roots = np.divide(-series[:, 0], lead, out=np.ones(rows, dtype=complex),
+                              where=lead != 0.0).real
             inside = np.abs(roots) < 1.0
-            cuts[:, 1] = np.where(inside, roots, 1.0)
-            pieces += inside
+            np.copyto(cuts[:, 1], roots, where=inside)
+            pieces = 1 + inside
         else:
+            pieces = np.empty(rows, dtype=int)
             for k in range(rows):
                 roots = chebyshev.chebroots(series[k]).real
                 row = np.unique(np.concatenate(([-1.0, 1.0], roots[np.abs(roots) < 1.0])))
                 cuts[k, :row.size] = row
                 pieces[k] = row.size - 1
-        cuts = cuts[:, :pieces.max() + 1]
+        cuts = cuts[:, :max(pieces.tolist()) + 1]
     widths = cuts[:, 1:] - cuts[:, :-1]
     x = (cuts[:, :-1, None] + widths[:, :, None] * _PIECE_NODES).reshape(rows, -1)
     w = (widths[:, :, None] * _PIECE_WEIGHTS).reshape(rows, -1)
     overlap = _axial_series(_axial_coefficients(sn, nspins, products), nspins, np.arccos(x))
-    q = _tower_dim(sn, nspins) * np.abs(overlap) ** 2
-    q_log_q = q * np.log(q, out=np.zeros(q.shape), where=q > 0)
-    mass, gain = _row_sums(w * np.stack((q, q_log_q)), pieces)
-    resolved = np.abs(mass - 1.0) <= 1e-8
-    if not resolved.all():
-        k = int(np.argmin(resolved))
-        raise RuntimeError(f"row {k}: outcome density integrates to {float(mass[k])!r}, "
-                           "not 1; the decoder does not resolve the identity")
+    # q and q log q side by side, then weighted in place: one (2, K, L) array
+    values = np.zeros((2,) + overlap.shape)
+    q = np.multiply(_tower_dim(sn, nspins), np.abs(overlap) ** 2, out=values[0])
+    q_log_q = np.log(q, out=values[1], where=q > 0)
+    q_log_q *= q
+    values *= w
+    mass, gain = values.sum(axis=-1) if pieces is None else _row_sums(values, pieces)
+    for k, total in enumerate(mass.tolist()):
+        if not abs(total - 1.0) <= 1e-8:
+            raise RuntimeError(f"row {k}: outcome density integrates to {total!r}, "
+                               "not 1; the decoder does not resolve the identity")
     return gain * _LOG2E
 
 
@@ -141,8 +150,7 @@ def _row_sums(values: np.ndarray, pieces: np.ndarray) -> np.ndarray:
     pieces, as a row of that length alone sums: numpy's pairwise sum would split
     a zero-padded row elsewhere."""
     out = values.sum(axis=-1)  # exact for the rows that fill the layout
-    short = pieces * _PIECE_ORDER < values.shape[-1]
-    for count in set(pieces[short].tolist()):
+    for count in set(pieces.tolist()) - {values.shape[-1] // _PIECE_ORDER}:
         sel = pieces == count
         out[..., sel] = values[..., sel, :count * _PIECE_ORDER].sum(axis=-1)
     return out
@@ -165,8 +173,10 @@ def refine_alpha(alphas: np.ndarray, gains: list[float],
                  beta: float = 0.0) -> tuple[float, float]:
     """Golden-section search for the gain peak bracketed by a scan.
 
-    The scan's largest gain must be interior; its two neighbours bracket
+    The scan's alphas must be strictly increasing, with one finite gain
+    each, and its largest gain must be interior; its two neighbours bracket
     the peak, which is narrowed to width _ALPHA_TOL. Returns (alpha_star, gain_star).
+    Raises ValueError on a malformed scan, RuntimeError without an interior peak.
 
     It compares the same points with the same float arithmetic as a search
     that evaluates one point at a time, but reads each gain from a table
@@ -180,6 +190,13 @@ def refine_alpha(alphas: np.ndarray, gains: list[float],
     bracket of the 64-point scan takes 6 calls of 8 to 15 rows, 71 rows in
     all, where one point at a time takes 26 calls.
     """
+    alphas, gains = np.asarray(alphas, dtype=float), np.asarray(gains, dtype=float)
+    if alphas.ndim != 1 or gains.shape != alphas.shape:
+        raise ValueError("need one gain per alpha")
+    if not (np.diff(alphas) > 0.0).all():
+        raise ValueError("alphas must be strictly increasing")
+    if not np.isfinite(gains).all():
+        raise ValueError("gains must be finite")
     peak = int(np.argmax(gains))
     if peak == 0 or peak == len(alphas) - 1:
         raise RuntimeError("no interior maximum bracketed by the scan")

@@ -203,11 +203,10 @@ def _largest_zeros(bs, degrees) -> np.ndarray:
     of :func:`_largest_zero`, and only the elements still iterating are
     evaluated.
     """
-    bs, degrees = list(bs), np.asarray(degrees, dtype=int)
-    if degrees.shape != (len(bs),):
+    bs, degrees = list(bs), list(degrees)
+    if len(degrees) != len(bs):
         raise ValueError("need one degree per polynomial family")
-    if (degrees < 1).any():
-        raise ValueError("degree must be >= 1")
+    degrees = np.array([_checked_count(degree, "degree") for degree in degrees], dtype=int)
     if not bs:
         return np.empty(0)
     families = sorted(set(bs))

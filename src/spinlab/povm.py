@@ -387,6 +387,10 @@ def _ring_sampler(code: MultiRepState, p: RingPovm):
 
     coef = chebyshev.chebinterpolate(ring_probabilities, code.nspins).T  # (T, N + 1)
     harmonics = code.nspins // 2 + 1
+    # ring indices sorted as the smallest unsigned type that holds them (uint8 up to
+    # N = 128): at 16 bits or fewer numpy's stable sort is a radix sort, and a stable
+    # sort of the same keys gives the same permutation
+    ring_key = np.min_scalar_type(nrings - 1)
     scratch = _scratch({0: max(nrings, 2 * nslots, size), 1: max(nrings, 2 * nslots, 2 * size)})
 
     def draw(x: np.ndarray, turn: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -401,7 +405,7 @@ def _ring_sampler(code: MultiRepState, p: RingPovm):
                                scratch("below", cum.shape, bool))
         # from here on the shots run ring by ring, so each ring's shots share
         # one product with its table; only the outcome indices go back
-        order = np.argsort(ring, kind="stable")
+        order = np.argsort(ring.astype(ring_key), kind="stable")
         ring = np.take(ring, order, out=scratch("sorted", (shots,), np.intp))
         at = np.multiply(ring, shots, out=scratch("at", (shots,), np.intp))
         at += order                                                     # flat (ring, shot)

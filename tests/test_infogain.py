@@ -10,9 +10,9 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.special import eval_jacobi
 
-from spinlab import infogain
-from spinlab.codes import (AlphaFamily, MultiRepState, _axial_overlap, alpha_code,
-                           coherent_code, matched_decoder)
+from spinlab import infogain, su2
+from spinlab.codes import (AlphaFamily, MultiRepState, _axial_coefficients, _axial_overlap,
+                           _block_sum, alpha_code, coherent_code, matched_decoder, minimal_sn)
 from spinlab.fidelity import max_fidelity_rotation
 from spinlab.infogain import (_fit_tables, _gains, info_gain_closed, info_gain_quadrature,
                               maximize_alpha, scan_alpha)
@@ -272,6 +272,49 @@ def test_kernel_names_the_row_that_fails_the_mass_check():
         kernel_rows(pairs)
 
 
+def loop_axial_coefficients(sn, nspins, products):
+    """The tower's cosine series summed block by block, as a loop from zeros adds it."""
+    coef = np.zeros((products.shape[0], nspins // 2 + 1), dtype=complex)
+    for i, twice in enumerate(range(nspins, sn.twice - 1, -2)):
+        c = su2._d_diagonal_cosines(twice, sn.twice)
+        coef[:, :c.size] += products[:, i, None] * c
+    return coef
+
+
+def loop_samples(products, jacobi):
+    """r at the Chebyshev nodes summed block by block, as a loop from zeros adds it."""
+    samples = np.zeros(products.shape, dtype=complex)
+    for i in range(products.shape[1]):
+        samples += products[:, i, None] * jacobi[i]
+    return samples
+
+
+def hexes(values):
+    return [float.hex(v) for v in values.view(float).ravel().tolist()]
+
+
+@pytest.mark.parametrize("rows", [1, 3, 64])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_block_sums_add_in_block_order(rows, kind):
+    # the ordered reductions equal the per-block loops bit for bit, signed zeros included;
+    # summed in reverse or pairwise they do not
+    towers = [(n, minimal_sn(n).twice) for n in range(1, 41)]
+    towers += [(101, 1), (200, 0), (201, 1), (61, 41), (30, 20)]
+    rng = np.random.default_rng(rows)
+    for nspins, twice_sn in towers:
+        sn, blocks = HalfInt(twice_sn), (nspins - twice_sn) // 2 + 1
+        products = rng.normal(size=(rows, blocks)) + 0j
+        if kind == "complex":
+            products.imag = rng.normal(size=(rows, blocks))
+        products[:, ::3] *= -0.0  # signed zeros, as an empty block's product may be
+        want = loop_axial_coefficients(sn, nspins, products)
+        assert hexes(_axial_coefficients(sn, nspins, products)) == hexes(want), (nspins, twice_sn)
+        if blocks > 1:
+            jacobi = infogain._fit_tables(blocks, twice_sn)[0]
+            got = _block_sum(products, jacobi)  # the samples of r in _gains
+            assert hexes(got) == hexes(loop_samples(products, jacobi)), (nspins, twice_sn)
+
+
 def test_alpha_quarter_pi_value():
     got = info_gain_quadrature(alpha_code(AlphaFamily(math.pi / 4.0)))
     assert got == pytest.approx(0.8664, abs=5e-5)
@@ -358,3 +401,13 @@ def test_refine_alpha_needs_an_interior_peak_inside_the_family():
             infogain.refine_alpha(alphas, gains.tolist())
     with pytest.raises(ValueError, match=r"alpha must lie in \[0, pi/2\]"):
         infogain.refine_alpha(alphas + 0.5, [0.0] * 7 + [1.0, 0.0])  # bracket ends past pi/2
+    # malformed scans, each of which once returned a wrong peak without a word
+    peaked = [0.0, 1.0, 2.0, 3.0, 4.0, 3.0, 2.0, 1.0, 0.0]
+    with pytest.raises(ValueError, match="alphas must be strictly increasing"):
+        infogain.refine_alpha(alphas[::-1], peaked[::-1])
+    with pytest.raises(ValueError, match="alphas must be strictly increasing"):
+        infogain.refine_alpha(np.repeat(alphas[:5], 2)[:9], peaked)
+    with pytest.raises(ValueError, match="gains must be finite"):
+        infogain.refine_alpha(alphas, peaked[:5] + [math.nan] + peaked[6:])
+    with pytest.raises(ValueError, match="need one gain per alpha"):
+        infogain.refine_alpha(alphas, peaked[:-1])

@@ -176,6 +176,9 @@ def test_batched_zeros_validation():
         numerics._largest_zeros([0, 1], [3, 0])
     with pytest.raises(ValueError):
         numerics._largest_zeros([0], [3, 4])
+    # a float degree is refused, as by the scalar pass, not truncated to 3
+    with pytest.raises(ValueError, match="^degree must be an integer, not 3.7$"):
+        numerics._largest_zeros([0], [3.7])
 
 
 def test_largest_zero_validation():
