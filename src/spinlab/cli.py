@@ -12,17 +12,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from . import fidelity, infogain, povm
-from .codes import (AlphaFamily, alpha_code, coherent_code, minimal_sn,
-                    source_density, von_neumann_entropy)
+from . import claims, fidelity, infogain, povm
+from .codes import coherent_code, minimal_sn
 from .numerics import bessel_j0_first_zero
-from .su2 import (Direction, HalfInt, X_AXIS, overlap_sq_32, peres_generators,
-                  spin_operators, wigner_small_d)
 
 
 # largest --n for the grid POVM. The ring sampler's fold table, T x 2(N + 1) x
@@ -128,141 +124,13 @@ def cmd_asymptotic(max_n: int, fmt: str, out: str | None) -> int:
     return 0
 
 
-@dataclass
-class Check:
-    name: str
-    passed: bool
-    detail: str
-
-
-def _algebra_residual(x, y, z) -> float:
-    """Largest entry of [x, y] - i z over the three cyclic commutators."""
-    return max(float(np.max(np.abs(a @ b - b @ a - 1j * c)))
-               for a, b, c in ((x, y, z), (y, z, x), (z, x, y)))
-
-
-def _claims(level: str):
-    """Yield the verify claims in report order; full adds the slow scans.
-
-    A numeric claim is (name, residual, tolerance) and holds when the residual
-    is at most the tolerance; a yes/no claim is (name, truth, detail).
-    """
-    def routes(ns):
-        for n in ns:
-            f_eig, code = fidelity.max_fidelity_rotation(n)
-            f_poly = fidelity.max_fidelity_polynomial(n)
-            f_quad = fidelity.fidelity_quadrature(code)
-            yield f"routes_eigen_vs_poly_n{n}", abs(f_eig - f_poly), 1e-12
-            yield f"routes_eigen_vs_quad_n{n}", abs(f_eig - f_quad), 1e-9
-
-    def optimal(ds):
-        for d in ds:
-            got = fidelity.fidelity_quadrature(coherent_code(d))
-            yield f"optimal_dim_d{d}", abs(got - fidelity.fidelity_optimal(d)), 1e-10
-
-    def identities(ns):
-        for n in ns:
-            dev = povm.check_identity(povm.quadrature_povm(minimal_sn(n), n))
-            yield f"identity_grid_n{n}", dev, 1e-10
-
-    closed = {
-        1: 2.0 / 3.0,
-        2: (3.0 + math.sqrt(3.0)) / 6.0,
-        3: (6.0 + math.sqrt(6.0)) / 10.0,
-        4: (5.0 + math.sqrt(15.0)) / 10.0,
-    }
-    for n, want in closed.items():
-        yield f"fidelity_closed_n{n}", abs(fidelity.max_fidelity_rotation(n)[0] - want), 1e-12
-    for n, want in {5: 0.9114, 6: 0.9306, 7: 0.9429}.items():
-        yield f"fidelity_printed_n{n}", abs(fidelity.max_fidelity_rotation(n)[0] - want), 5e-5
-    yield from routes(range(1, 7))
-    yield from optimal(range(2, 9))
-    worst = max(abs(fidelity.fidelity_parallel(n) - fidelity.fidelity_optimal(n + 1))
-                for n in range(1, 7))
-    yield "parallel_is_coherent_case", worst, 1e-15
-
-    values = [fidelity.fidelity_quadrature(alpha_code(AlphaFamily(math.pi / 4.0, beta)))
-              for beta in (0.0, 0.9, math.pi / 2.0, 2.5, math.pi, 5.1)]
-    yield "split_code_value", max(abs(v - closed[2]) for v in values), 1e-12
-    yield "split_code_beta_independent", max(values) - min(values), 1e-12
-
-    octahedron = povm.octahedron_povm()
-    yield "identity_pair", povm.check_identity(povm.von_neumann_pair(X_AXIS)), 1e-10
-    yield "identity_octahedron", povm.check_identity(octahedron), 1e-10
-    got = povm.povm_fidelity_exact(coherent_code(4), octahedron)
-    yield "octahedron_fidelity", abs(got - 0.8), 1e-12
-    yield from identities(range(1, 4))
-
-    gx, gy, gz = peres_generators()
-    yield "peres_algebra", _algebra_residual(gx, gy, gz), 1e-13
-    casimir = gx @ gx + gy @ gy + gz @ gz - (15.0 / 4.0) * np.eye(4)
-    yield "peres_casimir", float(np.max(np.abs(casimir))), 1e-13
-    for twice in (1, 2, 3, 8, 25):
-        yield f"spin_algebra_2s{twice}", _algebra_residual(*spin_operators(HalfInt(twice))), 1e-13
-
-    grid = np.linspace(-1.0, 1.0, 1001)
-    top = overlap_sq_32(grid, HalfInt(3))
-    mid = overlap_sq_32(grid, HalfInt(1))
-    angles = np.arccos(grid)
-    top_wigner = wigner_small_d(HalfInt(3), HalfInt(3), HalfInt(3), angles) ** 2
-    mid_wigner = wigner_small_d(HalfInt(3), HalfInt(1), HalfInt(1), angles) ** 2
-    yield "overlap_top_closed_form", float(np.max(np.abs(top - top_wigner))), 1e-12
-    yield "overlap_mid_closed_form", float(np.max(np.abs(mid - mid_wigner))), 1e-12
-    yield ("overlap_top_monotone", bool(np.all(np.diff(top) > 0.0)),
-           "strictly increasing on a 1001-point grid")
-    yield ("overlap_mid_nonmonotone", bool(np.any(np.diff(mid) < 0.0)),
-           "decreasing somewhere on a 1001-point grid")
-    yield "overlap_mid_zero_at_third", overlap_sq_32(1.0 / 3.0, HalfInt(1)), 1e-12
-    if level != "full":
-        return
-
-    yield from routes([*range(7, 13), 100, 200])
-    yield from optimal(range(9, 33))
-    # checked one projection at a time, N = 64 (dimension 1089) takes about 10 ms
-    yield from identities([*range(4, 7), 16, 64])
-
-    entropies = [
-        ("qubit", coherent_code(2), 1.0),
-        ("qutrit", coherent_code(3), math.log2(3.0)),
-        ("two_qubit", coherent_code(4), 2.0),
-        ("split", alpha_code(AlphaFamily(math.pi / 4.0)), 1.0 + 0.5 * math.log2(3.0)),
-    ]
-    for name, code, want in entropies:
-        got = von_neumann_entropy(source_density(code))
-        yield f"source_entropy_{name}", abs(got - want), 1e-8
-
-    for n in (1, 2):
-        quad = infogain.info_gain_quadrature(coherent_code(2 ** n))
-        yield f"infogain_quadrature_n{n}", abs(infogain.info_gain_closed(n) - quad), 1e-12
-    # two-spin gain int q log2(q) dx/2 with q = (a x + b)^2, a = sqrt(3) cos(alpha), b = sin(alpha)
-    # is [F(b + a) - F(b - a)] / a with F' = u^2 log2|u|, and b^2 log2(b^2) at a = 0
-    F = lambda u: u ** 3 * (math.log2(abs(u) or 1.0) / 3.0 - 1.0 / (9.0 * math.log(2.0)))
-    errs = []
-    for alpha in (0.0, math.pi / 18.0, 0.29908, math.pi / 4.0, 1.2, math.pi / 2.0):
-        a, b = math.sqrt(3.0) * math.cos(alpha), math.sin(alpha)
-        want = (F(b + a) - F(b - a)) / a if a > 1e-12 else b * b * math.log2(b * b)
-        errs.append(abs(infogain.info_gain_quadrature(alpha_code(AlphaFamily(alpha))) - want))
-    yield "infogain_two_spin_closed_form", max(errs), 1e-12
-
-    rows = fidelity.asymptotic_table(200)
-    fids = [row[1] for row in rows]
-    yield ("asymptotic_monotone", all(b > a for a, b in zip(fids, fids[1:])),
-           "fidelity strictly increasing to N=200")
-    yield "asymptotic_limit", abs(rows[-1][2] / bessel_j0_first_zero() ** 2 - 1.0), 0.03
-
-
-def run_verify(level: str) -> list[Check]:
-    """Cross-module invariant suite; full adds the slow scans."""
-    return [Check(name, value, tol) if isinstance(tol, str) else
-            Check(name, value <= tol, f"residual {value:.3e} (tolerance {tol:.1e})")
-            for name, value, tol in _claims(level)]
-
-
 def cmd_verify(level: str, out: str | None) -> int:
-    checks = run_verify(level)
-    lines = [f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in checks]
-    failed = [c for c in checks if not c.passed]
-    lines.append(f"{len(checks)} checks, {len(checks) - len(failed)} passed, {len(failed)} failed")
+    """Check the claims of one level (:mod:`spinlab.claims`), one report line each."""
+    run = claims.Run()
+    results = [(c.name, *c.check(run)) for c in claims.at_level(level)]
+    lines = [f"{'PASS' if passed else 'FAIL'} {name}: {detail}" for name, passed, detail in results]
+    failed = sum(not passed for _, passed, _ in results)
+    lines.append(f"{len(results)} checks, {len(results) - failed} passed, {failed} failed")
     _write("\n".join(lines) + "\n", out)
     return 1 if failed else 0
 
@@ -296,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(run=lambda args: cmd_table(args.max_n, args.format, args.out))
 
     v = sub.add_parser("verify", help="cross-route invariant suite")
-    v.add_argument("--level", choices=("fast", "full"), default="fast")
+    v.add_argument("--level", choices=claims.LEVELS, default="fast")
     v.add_argument("--out", default=None)
     v.set_defaults(run=lambda args: cmd_verify(args.level, args.out))
 

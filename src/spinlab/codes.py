@@ -118,6 +118,8 @@ class AlphaFamily:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= math.pi / 2.0:
             raise ValueError("alpha must lie in [0, pi/2]")
+        if not math.isfinite(self.beta):
+            raise ValueError("beta must be finite")
 
 
 _MINIMAL_SN = (HalfInt(0), HalfInt(1))  # shared: HalfInt is frozen

@@ -163,6 +163,7 @@ def scan_alpha(beta: float = 0.0) -> tuple[np.ndarray, list[float]]:
     :func:`spinlab.codes.matched_decoder`; each gain equals the single
     call ``info_gain_quadrature(alpha_code(AlphaFamily(alpha, beta)))``.
     """
+    AlphaFamily(0.0, beta)  # raises unless beta is finite
     alphas = np.linspace(0.0, math.pi / 2.0, 64)
     sn = HalfInt(0)
     codes = _alpha_coefficients(alphas, beta)

@@ -514,6 +514,7 @@ def simulate(code: MultiRepState, p: FinitePovm | RingPovm, shots: int,
     octahedron and 3.0 MiB for the N = 12 grid, at any shot count.
     """
     _checked_count(shots, "shots")
+    _checked_count(seed, "seed", 0)
     if p.dim != code.dim:
         raise ValueError("POVM and code dimensions differ")
     p, size = _as_read(code, p)

@@ -298,7 +298,7 @@ def wigner_small_d(s, m, mp, theta):
     s, m, mp : HalfInt or number
         Spin and the two projections. Both projections must be valid for s.
     theta : float or ndarray
-        Rotation angle(s) about the y axis.
+        Rotation angle(s) about the y axis; ValueError unless all are finite.
 
     Returns
     -------
@@ -319,6 +319,8 @@ def wigner_small_d(s, m, mp, theta):
     _check_projection(s, m)
     _check_projection(s, mp)
     theta_arr = np.asarray(theta, dtype=float)
+    if not np.isfinite(theta_arr).all():
+        raise ValueError("theta must be finite")
     row = _d_fourier(s.twice, mp.twice)[(s.twice - m.twice) // 2]
     out = row @ _half_angle_terms(np.exp(0.5j * theta_arr.ravel()), s.twice)
     if np.ndim(theta) == 0:

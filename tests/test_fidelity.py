@@ -8,21 +8,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import eval_jacobi, eval_legendre
 
 from spinlab import fidelity, numerics
-from spinlab.codes import AlphaFamily, MultiRepState, alpha_code, coherent_code, minimal_sn
+from spinlab.claims import CLOSED_FORMS, PRINTED
+from spinlab.codes import AlphaFamily, alpha_code, coherent_code, minimal_sn
 from spinlab.fidelity import (asymptotic_table, build_m, fidelity_optimal,
                               fidelity_parallel, fidelity_quadrature,
                               max_fidelity_polynomial, max_fidelity_polynomials,
                               max_fidelity_rotation)
 from spinlab.numerics import bessel_j0_first_zero
-from spinlab.su2 import Direction, HalfInt, X_AXIS
-
-CLOSED_FORMS = {
-    1: 2.0 / 3.0,
-    2: (3.0 + math.sqrt(3.0)) / 6.0,
-    3: (6.0 + math.sqrt(6.0)) / 10.0,
-    4: (5.0 + math.sqrt(15.0)) / 10.0,
-}
-PRINTED = {5: 0.9114, 6: 0.9306, 7: 0.9429}
+from spinlab.su2 import Direction, X_AXIS
 
 
 def test_build_m_two_spins():
@@ -142,15 +135,6 @@ def test_coherent_code_reaches_dimension_bound(d):
     assert got == pytest.approx(fidelity_optimal(d), abs=1e-10)
 
 
-def test_alpha_family_value_and_beta_independence():
-    want = (3.0 + math.sqrt(3.0)) / 6.0
-    values = [fidelity_quadrature(alpha_code(AlphaFamily(math.pi / 4.0, beta)))
-              for beta in (0.0, 0.9, math.pi / 2.0, 2.5, math.pi, 5.1)]
-    for v in values:
-        assert v == pytest.approx(want, abs=1e-12)
-    assert max(values) - min(values) < 1e-12
-
-
 def test_alpha_quarter_pi_is_the_two_spin_optimum():
     best, code = max_fidelity_rotation(2)
     sweep = [fidelity_quadrature(alpha_code(AlphaFamily(a)))
@@ -164,7 +148,7 @@ def test_alpha_quarter_pi_is_the_two_spin_optimum():
 @given(st.floats(0.0, math.pi / 2.0), st.floats(0.0, 2.0 * math.pi))
 def test_alpha_family_never_beats_the_optimum(alpha, beta):
     f = fidelity_quadrature(alpha_code(AlphaFamily(alpha, beta)))
-    assert f <= (3.0 + math.sqrt(3.0)) / 6.0 + 1e-10
+    assert f <= CLOSED_FORMS[2] + 1e-10
     assert f >= 0.5 - 1e-12
 
 

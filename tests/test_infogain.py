@@ -337,6 +337,16 @@ def test_info_gain_decoder_contracts():
         info_gain_quadrature(code, decoder=lopsided)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_non_finite_beta_is_refused(beta):
+    # refused before any arithmetic, so no RuntimeWarning comes first
+    for call in (lambda: AlphaFamily(0.3, beta), lambda: scan_alpha(beta),
+                 lambda: maximize_alpha(beta)):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            call()
+
+
 def test_maximize_alpha_location_and_value():
     best, gain = maximize_alpha()
     assert best / math.pi == pytest.approx(0.2317, abs=1e-3)

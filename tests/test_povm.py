@@ -164,11 +164,6 @@ def test_octahedron_structure():
         assert p.guesses[i] @ p.guesses[i + 1] == pytest.approx(-1.0, abs=1e-14)
 
 
-def test_octahedron_exact_fidelity_is_four_fifths():
-    got = povm_fidelity_exact(coherent_code(4), octahedron_povm())
-    assert got == pytest.approx(0.8, abs=1e-12)
-
-
 def test_von_neumann_pair_identity_and_guesses():
     m = Direction(0.83, 2.1)
     p = von_neumann_pair(m)
@@ -609,6 +604,10 @@ def test_simulate_validation():
         simulate(code, octahedron_povm(), 0, 0)
     with pytest.raises(ValueError, match="^shots must be an integer, not 10.0$"):
         simulate(code, octahedron_povm(), 10.0, 0)
+    with pytest.raises(ValueError, match="^seed must be an integer, not 1.5$"):
+        simulate(code, octahedron_povm(), 10, 1.5)
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        simulate(code, octahedron_povm(), 10, -1)
     with pytest.raises(ValueError):
         simulate(coherent_code(2), octahedron_povm(), 10, 0)
 

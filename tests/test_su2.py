@@ -449,6 +449,13 @@ def test_wigner_small_d_rejects_bad_projection():
         wigner_small_d(HalfInt(2), HalfInt(1), HalfInt(0), 0.5)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, np.array([0.5, -math.inf]),
+                                   np.array([[0.1], [math.nan]])])
+def test_wigner_small_d_rejects_non_finite_angle(theta):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        wigner_small_d(HalfInt(3), HalfInt(3), HalfInt(3), theta)
+
+
 @given(st.floats(0.0, math.pi))
 def test_wigner_rows_are_unit_vectors(theta):
     d = d_matrix(HalfInt(4), theta)
