@@ -3,11 +3,11 @@
 Everything works in plain float64. The symmetric tridiagonal top eigenpair
 is computed by hand (Barth, Martin & Wilkinson, Numer. Math. 9, 1967) so
 that it stays independent of the LAPACK-backed dense path it is
-cross-checked against: one Sturm-count bisection for the top eigenvalue,
-one more Sturm count for the gap below it, and inverse iteration for the
-eigenvector. Those scalar loops run on Python lists of floats, which are
-IEEE binary64 like numpy's float64 but several times cheaper to index one
-element at a time.
+cross-checked against. One Sturm question, how many eigenvalues lie above x
+(counted up to 1 or 2), gives the top eigenvalue by bisection and the gap
+below it; inverse iteration gives the eigenvector. Those scalar loops run on
+Python lists of floats, which are IEEE binary64 like numpy's float64 but
+several times cheaper to index one element at a time.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ class Tridiag:
 def _checked_count(count: int, name: str = "nspins", least: int = 1) -> int:
     """count, raising ValueError unless it is an integer >= least: the library's one check
     of a spin count, a dimension, a table size, a shot count, a rule order or a degree."""
-    if not isinstance(count, (int, np.integer)):
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, not {count!r}")
     if count < least:
         raise ValueError(f"{name} must be >= {least}")
@@ -251,12 +251,12 @@ def _largest_zeros(bs, degrees) -> np.ndarray:
 _PIVMIN = 1e-292
 
 
-def _count_below(diag: list[float], coupling: list[float], x: float) -> int:
-    """Number of eigenvalues strictly below x, from the Sturm pivot signs.
-
-    coupling[i] is the squared off-diagonal entry joining row i to row
-    i - 1, with coupling[0] = 0. Both are plain lists: the loop reads one
-    scalar per row, and numpy's element access costs several times the
+def _count_above(diag: list[float], coupling: list[float], x: float, limit: int) -> int:
+    """Number of eigenvalues at or above x, counted up to limit: the Sturm pivots of
+    T - x I that are not negative (a NaN pivot, made only by an overflowing coupling,
+    is not), stopping at the limit-th. coupling[i] is the squared off-diagonal entry
+    joining row i to row i - 1, with coupling[0] = 0. Both are plain lists: the loop
+    reads one scalar per row, and numpy's element access costs several times the
     arithmetic.
     """
     pivmin = _PIVMIN
@@ -266,20 +266,11 @@ def _count_below(diag: list[float], coupling: list[float], x: float) -> int:
         q = (d - x) - c / q
         if abs(q) < pivmin:
             q = -pivmin
-        if q < 0.0:
+        elif not q < 0.0:
             count += 1
+            if count == limit:
+                break
     return count
-
-
-def _bisect_kth(diag, coupling, k: int, lo: float, hi: float, tol: float) -> float:
-    """k-th smallest eigenvalue (1-based) by bisection on the Sturm count."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _count_below(diag, coupling, mid) >= k:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
 
 
 def _solve_shifted(diag: list[float], off: list[float], shift: float,
@@ -373,24 +364,25 @@ def _inverse_iteration(m: Tridiag, lam: float, shift: float, scale: float,
 def tridiag_max_eigenpair(m: Tridiag) -> tuple[float, np.ndarray]:
     """Largest eigenvalue and its unit eigenvector.
 
-    The eigenvalue comes from one Sturm-count bisection to absolute width
-    1e-13 (relative to the Gershgorin scale); one more Sturm count, at
-    1e-10 below it, tests the gap to the second eigenvalue. The eigenvector
-    comes from inverse iteration at the eigenvalue, retried a bisection
-    width above it if the solve overflows; a third Sturm count, at 1e-6
-    below, tells it to iterate past the residual test, which alone leaves
-    an error of up to 1e-12 / gap. Its sign makes its first entry above
-    1e-5 in size positive: ten times that error at the 1e-6 gap, so no
-    exact zero can decide it. The scalar loops run on plain Python floats,
-    which are IEEE binary64 like numpy's float64.
+    The eigenvalue comes from bisection on "is there an eigenvalue above x?"
+    to absolute width 1e-13 (relative to the Gershgorin scale); "are there
+    two?", 1e-10 below it, tests the gap to the second eigenvalue. The
+    eigenvector comes from inverse iteration at the eigenvalue, retried a
+    bisection width above it if the solve overflows; "are there two?" 1e-6
+    below tells it to iterate past the residual test, which alone leaves an
+    error of up to 1e-12 / gap. Its sign makes its first entry above 1e-5 in
+    size positive: ten times that error at the 1e-6 gap, so no exact zero
+    can decide it. The scalar loops run on plain Python floats, which are
+    IEEE binary64 like numpy's float64.
 
     Raises
     ------
     RuntimeError
-        If the two largest eigenvalues are closer than 1e-10: the leading
-        eigenvector is then numerically ill-defined and callers must not
-        trust it. Also if inverse iteration does not reach a unit vector
-        with residual 1e-12 or, past a gap below 1e-6, does not settle.
+        If the two largest eigenvalues are closer than 1e-10 of the scale (the
+        message states that bound): the leading eigenvector is then numerically
+        ill-defined and callers must not trust it. Also if inverse iteration does
+        not reach a unit vector with residual 1e-12 or, past a gap below 1e-6,
+        does not settle.
     """
     n = m.size
     if n == 1:
@@ -406,13 +398,18 @@ def tridiag_max_eigenpair(m: Tridiag) -> tuple[float, np.ndarray]:
     scale = max(1.0, abs(lo), abs(hi))
     tol = 1e-13 * scale
     coupling = [0.0] + [o * o for o in off]
-    lam = _bisect_kth(diag, coupling, n, lo, hi, tol)
-    if _count_below(diag, coupling, lam - 1e-10 * scale) < n - 1:
-        second = _bisect_kth(diag, coupling, n - 1, lo, hi, tol)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if _count_above(diag, coupling, mid, 1):
+            lo = mid
+        else:
+            hi = mid
+    lam = 0.5 * (lo + hi)
+    if _count_above(diag, coupling, lam - 1e-10 * scale, 2) == 2:
         raise RuntimeError(
-            f"top eigenvalues nearly degenerate (gap {lam - second:.3e}); "
+            f"top eigenvalues nearly degenerate (gap below {1e-10 * scale:.3e}); "
             "leading eigenvector is not well defined")
-    settle = _count_below(diag, coupling, lam - 1e-6 * scale) < n - 1
+    settle = _count_above(diag, coupling, lam - 1e-6 * scale, 2) == 2
     v = _inverse_iteration(m, lam, lam, scale, settle)
     if v is None:
         v = _inverse_iteration(m, lam, lam + tol, scale, settle)

@@ -39,7 +39,7 @@ class HalfInt:
     twice: int
 
     def __post_init__(self):
-        if not isinstance(self.twice, (int, np.integer)):
+        if isinstance(self.twice, bool) or not isinstance(self.twice, (int, np.integer)):
             raise TypeError("twice must be an integer")
         object.__setattr__(self, "twice", int(self.twice))
 

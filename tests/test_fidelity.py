@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import eval_jacobi, eval_legendre
 
 from spinlab import fidelity, numerics
-from spinlab.claims import CLOSED_FORMS, PRINTED
+from spinlab.claims import CLOSED_FORMS
 from spinlab.codes import AlphaFamily, alpha_code, coherent_code, minimal_sn
 from spinlab.fidelity import (asymptotic_table, build_m, fidelity_optimal,
                               fidelity_parallel, fidelity_quadrature,
@@ -65,18 +65,6 @@ def test_char_poly_is_the_classical_family(nspins):
     for x in np.linspace(-1.0, 1.0, 21):
         assert char_poly(tri, x) / norm == pytest.approx(
             float(family(tri.size, x)), abs=1e-10)
-
-
-@pytest.mark.parametrize("nspins,want", sorted(CLOSED_FORMS.items()))
-def test_max_fidelity_rotation_closed_forms(nspins, want):
-    got, _ = max_fidelity_rotation(nspins)
-    assert got == pytest.approx(want, abs=1e-12)
-
-
-@pytest.mark.parametrize("nspins,want", sorted(PRINTED.items()))
-def test_max_fidelity_rotation_printed_digits(nspins, want):
-    got, _ = max_fidelity_rotation(nspins)
-    assert got == pytest.approx(want, abs=5e-5)
 
 
 def test_max_fidelity_rotation_code_structure():

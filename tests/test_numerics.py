@@ -9,10 +9,13 @@ from hypothesis import given, strategies as st
 from scipy.special import eval_jacobi, eval_legendre, jn_zeros, roots_jacobi, roots_legendre
 
 from spinlab import numerics
+from spinlab.codes import coherent_code
 from spinlab.fidelity import build_m, max_fidelity_rotation
 from spinlab.numerics import (Quadrature1D, Tridiag, bessel_j0_first_zero,
                               gauss_legendre, hermitian_eigenvalues, largest_zero,
                               tridiag_max_eigenpair)
+from spinlab.povm import octahedron_povm, simulate
+from spinlab.su2 import HalfInt
 
 # Hand-expanded low-degree members of both families, the ground truth the
 # recursions are checked against.
@@ -38,6 +41,21 @@ def test_gauss_legendre_validation():
         gauss_legendre(0)
     with pytest.raises(ValueError, match="^order must be an integer, not 3.0$"):
         gauss_legendre(3.0)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: simulate(coherent_code(4), octahedron_povm(), True, 0), ValueError,
+     "^shots must be an integer, not True$"),
+    (lambda: simulate(coherent_code(4), octahedron_povm(), 10, True), ValueError,
+     "^seed must be an integer, not True$"),
+    (lambda: max_fidelity_rotation(True), ValueError, "^nspins must be an integer, not True$"),
+    (lambda: gauss_legendre(True), ValueError, "^order must be an integer, not True$"),
+    (lambda: HalfInt(True), TypeError, "^twice must be an integer$"),
+], ids=["shots", "seed", "nspins", "order", "halfint"])
+def test_bool_is_not_a_count(call, error, match):
+    # bool subclasses int, so an isinstance check alone lets True through as 1
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_gauss_legendre_basic_shape():
@@ -370,13 +388,97 @@ def test_tridiag_max_eigenpair_calls_no_library_eigensolver(monkeypatch):
 
 
 def test_tridiag_max_eigenpair_bisects_once(monkeypatch):
-    # one bisection to 1e-13 of the Gershgorin scale plus one gap count
-    calls = []
-    count_below = numerics._count_below
-    monkeypatch.setattr(numerics, "_count_below",
-                        lambda *args: calls.append(args[2]) or count_below(*args))
+    # one bisection to 1e-13 of the Gershgorin scale on "one above x?", then
+    # "two above x?" for the gap guard and the settle test
+    limits = []
+    count_above = numerics._count_above
+    monkeypatch.setattr(numerics, "_count_above",
+                        lambda *args: limits.append(args[3]) or count_above(*args))
     tridiag_max_eigenpair(build_m(200))
-    assert 40 <= len(calls) <= 50
+    assert 40 <= len(limits) <= 50
+    assert set(limits[:-2]) == {1} and limits[-2:] == [2, 2]
+
+
+def reference_count_below(diag, coupling, x):
+    """Eigenvalues strictly below x: every negative Sturm pivot, counted to the end."""
+    count, q = 0, 1.0
+    for d, c in zip(diag, coupling):
+        q = (d - x) - c / q
+        if abs(q) < numerics._PIVMIN:
+            q = -numerics._PIVMIN
+        if q < 0.0:
+            count += 1
+    return count
+
+
+def reference_top_eigenvalue(diag, off):
+    """(top eigenvalue, Gershgorin scale): the k-th eigenvalue bisection on the full
+    count, k = n, in the bracket and to the width that tridiag_max_eigenpair uses."""
+    absoff = [abs(o) for o in off]
+    radius = [a + b for a, b in zip(absoff + [0.0], [0.0] + absoff)]
+    lo = min(d - r for d, r in zip(diag, radius))
+    hi = max(d + r for d, r in zip(diag, radius))
+    span = max(hi - lo, 1.0)
+    lo, hi = lo - 1e-6 * span, hi + 1e-6 * span
+    scale = max(1.0, abs(lo), abs(hi))
+    coupling = [0.0] + [o * o for o in off]
+    while hi - lo > 1e-13 * scale:
+        mid = 0.5 * (lo + hi)
+        if reference_count_below(diag, coupling, mid) >= len(diag):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), scale
+
+
+@st.composite
+def tridiags(draw):
+    """Tridiags of size 2-11 at scales 1e-8..1e8, with integer diagonals (exact
+    degeneracies) and zero couplings (decoupled blocks) among them."""
+    n = draw(st.integers(2, 11))
+    scale = 10.0 ** draw(st.floats(-8.0, 8.0))
+    entry = st.one_of(st.integers(-3, 3).map(float), st.floats(-1.0, 1.0))
+    diag = draw(st.lists(entry, min_size=n, max_size=n))
+    off = draw(st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+                        min_size=n - 1, max_size=n - 1))
+    return Tridiag(np.multiply(diag, scale), np.multiply(off, scale))
+
+
+@given(tridiags())
+def test_top_eigenvalue_matches_full_count_bisection(t):
+    # the early-exit count decides every bisection step and both gap tests as
+    # the full count of negative pivots does, so the eigenvalue is the same bits
+    diag, off = t.diag.tolist(), t.offdiag.tolist()
+    coupling = [0.0] + [o * o for o in off]
+    lam, scale = reference_top_eigenvalue(diag, off)
+    for x in (lam, lam - 1e-10 * scale, lam - 1e-6 * scale):
+        above = t.size - reference_count_below(diag, coupling, x)
+        for limit in (1, 2):
+            assert numerics._count_above(diag, coupling, x, limit) == min(above, limit)
+    if reference_count_below(diag, coupling, lam - 1e-10 * scale) < t.size - 1:
+        with pytest.raises(RuntimeError, match="gap"):
+            tridiag_max_eigenpair(t)
+    else:
+        assert tridiag_max_eigenpair(t)[0].hex() == lam.hex()
+
+
+def test_count_above_takes_a_nan_pivot_as_not_negative():
+    # squared couplings of 1e200 overflow, and inf / inf pivots are NaN; the full
+    # count never counted those below x, so they are above it
+    diag, coupling = [0.0] * 4, [0.0] + [1e200 * 1e200] * 3
+    for x in (-1e201, 0.0, 1e201):
+        above = 4 - reference_count_below(diag, coupling, x)
+        for limit in (1, 2, 4):
+            assert numerics._count_above(diag, coupling, x, limit) == min(above, limit)
+
+
+@pytest.mark.parametrize("scale, bound", [(1.0, "1.000e-10"), (1e4, "1.000e-06")])
+def test_tridiag_max_eigenpair_near_degenerate_pair_raises(scale, bound):
+    # two coupled blocks whose top eigenvalues differ by 1e-12 of the scale: the
+    # message states the bound tested, 1e-10 of the Gershgorin scale
+    t = Tridiag([0.0] * 4, np.multiply([1.0, 0.0, 1.0 + 1e-12], scale))
+    with pytest.raises(RuntimeError, match=f"nearly degenerate \\(gap below {bound}\\)"):
+        tridiag_max_eigenpair(t)
 
 
 def test_hermitian_eigensystem_reconstructs():
